@@ -121,7 +121,9 @@ class CurvePoint:
     """One grid point of an efficiency curve.
 
     Points with n < 2h are skipped: no replicates run, ``successes`` and
-    ``success_rate`` are None and ``skipped`` is True.
+    ``success_rate`` are None and ``skipped`` is True.  In whitened mode
+    points with n <= p are skipped the same way, because the sample
+    covariance is singular there.
     """
 
     gamma: float
@@ -180,7 +182,7 @@ def _run_replicate(task: tuple[CurveConfig, int, int, int]) -> bool:
 
 
 def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
-    """Run every replicate of every nonskipped grid point.
+    """Run every replicate of every nonskipped grid point (see ``CurvePoint``).
 
     Replicates are seeded independently from (master_seed, point index,
     replicate index), so results do not depend on execution order and
@@ -193,7 +195,7 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     for gi, gamma in enumerate(cfg.gamma_grid):
         n = gamma_to_n(gamma, cfg.s, cfg.p)
         start = time.perf_counter()
-        if n < 2 * cfg.h:
+        if n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p):
             points.append(
                 CurvePoint(gamma=gamma, n=n, successes=None, reps=cfg.reps,
                            success_rate=None, skipped=True)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .curves import EfficiencyCurve, StabilityDiagnostic
 from .dt import _oriented_principal_eigenvector, dt_sir
-from .errors import IngestError, InvalidArgumentError, RankDeficientError
+from .errors import IngestError, InvalidArgumentError, NumericalError, RankDeficientError
 from .models import Dataset
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
 from .sir import sir_matrix_whitened
@@ -69,16 +70,42 @@ def _fmt(value: float) -> str:
 
 def _cell_is_missing(cell: str) -> bool:
     text = cell.strip()
-    return text == "" or text.lower() in ("nan", "na")
+    if text.lower() in ("", "na"):
+        return True
+    try:
+        return math.isnan(float(text))
+    except ValueError:
+        return False
+
+
+def _check_unconvertible_row(path, header: list[str], line_no: int, row: list[str]) -> None:
+    """Cell-by-cell look at a row that failed to convert as a whole.
+
+    Returns if the row has a missing cell (the caller drops it);
+    otherwise raises for the first non-numeric cell.
+    """
+    if any(_cell_is_missing(cell) for cell in row):
+        return
+    for j, cell in enumerate(row):
+        try:
+            float(cell)
+        except ValueError:
+            raise IngestError(
+                f"{path}: non-numeric value {cell.strip()!r} at row {line_no}, "
+                f"column {header[j]!r}"
+            ) from None
 
 
 def ingest_csv(path, y_column: str) -> IngestedTable:
     """Read a headed CSV of numbers, dropping rows with missing values.
 
-    Rows with empty (or NaN) cells are rejected and counted rather than
-    imputed.  A non-numeric cell is an error citing the file row number
-    (the header is row 1) and the column name.  Fewer than 2 complete
-    rows is an error.
+    A cell is missing if it is empty, ``NA`` (any case) or parses to
+    NaN (``nan``, ``NaN``, ``-nan``, ...).  Rows with a missing cell
+    are dropped and counted rather than imputed.  In the remaining rows
+    a non-numeric cell is an error, and so is a cell that parses to
+    plus or minus infinity; both errors cite the file row number (the
+    header is row 1) and the column name.  Fewer than 2 complete rows
+    is an error.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -94,6 +121,7 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
         y_idx = header.index(y_column)
         x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
         rows: list[list[float]] = []
+        line_nos: list[int] = []
         dropped = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -102,24 +130,29 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
                 raise IngestError(
                     f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
                 )
-            if any(_cell_is_missing(cell) for cell in row):
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                _check_unconvertible_row(path, header, line_no, row)
                 dropped += 1
                 continue
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise IngestError(
-                        f"{path}: non-numeric value {cell.strip()!r} at row {line_no}, "
-                        f"column {header[j]!r}"
-                    ) from None
-            rows.append(parsed)
-    if len(rows) < 2:
+            line_nos.append(line_no)
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    complete = ~np.isnan(table).any(axis=1)
+    dropped += int(table.shape[0] - complete.sum())
+    table = table[complete]
+    infinite = np.argwhere(np.isinf(table))
+    if infinite.size:
+        i, j = infinite[0]
+        line_no = np.asarray(line_nos)[complete][i]
         raise IngestError(
-            f"{path}: only {len(rows)} complete rows after dropping {dropped}; need at least 2"
+            f"{path}: infinite value {float(table[i, j])} at row {line_no}, "
+            f"column {header[j]!r}"
         )
-    table = np.asarray(rows, dtype=float)
+    if table.shape[0] < 2:
+        raise IngestError(
+            f"{path}: only {table.shape[0]} complete rows after dropping {dropped}; need at least 2"
+        )
     mask = np.ones(len(header), dtype=bool)
     mask[y_idx] = False
     return IngestedTable(
@@ -215,12 +248,15 @@ def emit_curve_csv(curve: EfficiencyCurve, path) -> str:
     return str(path)
 
 
+def _format_rows(m: np.ndarray) -> list[str]:
+    """One comma-joined line of ``repr`` floats per row of a 2-d array."""
+    return [",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist()]
+
+
 def emit_dataset_csv(data: Dataset, path) -> str:
     """Write a dataset as y,x1,...,xp with exact float round-trip."""
     names = ["y"] + [f"x{j + 1}" for j in range(data.p)]
-    lines = [",".join(names)]
-    for i in range(data.n):
-        lines.append(",".join([_fmt(data.y[i])] + [_fmt(v) for v in data.x[i]]))
+    lines = [",".join(names)] + _format_rows(np.column_stack((data.y, data.x)))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return str(path)
@@ -255,21 +291,29 @@ def emit_recovery_csv(report: RecoveryReport, path) -> str:
 
 
 def emit_matrix_csv(m: np.ndarray, path) -> str:
-    m = np.asarray(m, dtype=float)
-    lines = [",".join(_fmt(v) for v in row) for row in m]
+    lines = _format_rows(m)
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return str(path)
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless square numeric matrix."""
+    """Read a headerless square numeric matrix.
+
+    A NaN or infinite entry raises ``NumericalError``.
+    """
     try:
         m = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
     if m.shape[0] != m.shape[1]:
         raise IngestError(f"{path}: matrix must be square, got shape {m.shape}")
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = bad[0]
+        raise NumericalError(
+            f"{path}: non-finite entry {float(m[i, j])} at row {i + 1}, column {j + 1}"
+        )
     return m
 
 

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import CertificateUndefinedError, InvalidArgumentError, NumericalError
 from .dt import SignedSupport, _oriented_principal_eigenvector
@@ -169,9 +167,13 @@ def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
 
     ``a`` may be a SirMatrix or a plain symmetric array.  The returned
     iterate is always feasible; ``converged`` reports whether the
-    backend met its tolerance within ``max_iter`` iterations.
+    backend met its tolerance within ``max_iter`` iterations.  A matrix
+    with a NaN or infinite entry raises ``NumericalError``.
     """
-    mat = _require_symmetric(as_matrix(a))
+    mat = as_matrix(a)
+    if not np.isfinite(mat).all():
+        raise NumericalError("matrix has non-finite entries (NaN or infinity)")
+    mat = _require_symmetric(mat)
     if not isinstance(cfg, SdpConfig):
         raise InvalidArgumentError("cfg must be an SdpConfig")
     if cfg.backend == "splitting":
@@ -223,6 +225,10 @@ def _hull_lp(a: np.ndarray, lam: float, atoms: list[np.ndarray]) -> np.ndarray:
     l1 term is a maximum of linear functions, so the hull problem is a
     linear program in (w, T) with T_ij >= |Z(w)_ij| on the upper triangle.
     """
+    # imported here so that the default backend and the CLI start without scipy
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     p = a.shape[0]
     k = len(atoms)
     iu, ju = np.triu_indices(p)

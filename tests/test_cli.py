@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sirsupport
 from sirsupport.cli import main
 from sirsupport.dataio import CURVE_HEADER, emit_matrix_csv
 from sirsupport.version import __version__
@@ -169,6 +170,14 @@ class TestSdpSolve:
         assert "--lambda" in capsys.readouterr().err
 
 
+    def test_non_finite_matrix_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("1,nan\nnan,1\n")
+        rc = main(["sdp-solve", "--matrix", str(path), "--lambda", "0.1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_ini_supplies_options(self, tmp_path):
         ini = tmp_path / "run.ini"
@@ -233,6 +242,21 @@ class TestErrorHandling:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+class TestImportCost:
+    def test_cli_imports_without_scipy(self):
+        # only the conditional_gradient backend needs scipy; it imports it on use
+        src = Path(sirsupport.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        probe = "import sys, sirsupport.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -104,6 +104,16 @@ class TestRunCurve:
         assert pt.n == gamma_to_n(0.1, 2, 10)
         assert pt.reps == 3
 
+    def test_whitened_points_with_n_at_most_p_are_skipped(self):
+        # gamma 2.3 gives n = 10 = p: enough for h = 5 slices, too few to whiten
+        cfg = _cfg(gamma_grid=(2.3, 10.0), reps=2, estimator_mode="whitened")
+        low, high = run_curve(cfg).points
+        assert low.n == 10 and low.skipped
+        assert low.successes is None and low.success_rate is None
+        assert high.n > 10 and not high.skipped
+        centered = run_curve(_cfg(gamma_grid=(2.3,), reps=2)).points[0]
+        assert centered.n == 10 and not centered.skipped
+
     def test_generous_sample_recovers_support(self):
         cfg = _cfg(
             model=ModelSpec(link="linear", noise_sd=0.1),

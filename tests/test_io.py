@@ -17,8 +17,13 @@ from sirsupport.dataio import (
     recover_real,
     write_manifest,
 )
-from sirsupport.errors import IngestError, InvalidArgumentError, RankDeficientError
-from sirsupport.models import ModelSpec, generate_beta, sample_sim
+from sirsupport.errors import (
+    IngestError,
+    InvalidArgumentError,
+    NumericalError,
+    RankDeficientError,
+)
+from sirsupport.models import Dataset, ModelSpec, generate_beta, sample_sim
 from sirsupport.version import __version__
 
 
@@ -58,6 +63,30 @@ class TestIngestCsv:
         path = _write(tmp_path / "t.csv", "y,a\n1,2\n3,oops\n")
         with pytest.raises(IngestError, match=r"row 3.*column 'a'"):
             ingest_csv(path, "y")
+
+    def test_non_numeric_row_number_after_many_good_rows(self, tmp_path):
+        good = "".join(f"{i},{i + 0.5}\n" for i in range(1000))
+        path = _write(tmp_path / "t.csv", "y,a\n" + good + "7,x\n")
+        with pytest.raises(IngestError, match=r"'x' at row 1002, column 'a'"):
+            ingest_csv(path, "y")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", " +INF "])
+    def test_infinite_cell_cites_row_and_column(self, tmp_path, cell):
+        path = _write(tmp_path / "t.csv", f"y,a,b\n1,2,3\n,5,6\n4,{cell},6\n7,8,9\n")
+        with pytest.raises(IngestError, match=r"infinite value .* row 4, column 'a'"):
+            ingest_csv(path, "y")
+
+    def test_nan_cells_drop_rows_whatever_the_spelling(self, tmp_path):
+        path = _write(tmp_path / "t.csv", "y,a\n1,2\n3,-nan\nNaN,4\n5, nan \n+nan,1\n6,7\n")
+        table = ingest_csv(path, "y")
+        assert table.n == 2 and table.n_dropped == 4
+        np.testing.assert_array_equal(table.y, [1.0, 6.0])
+        np.testing.assert_array_equal(table.x, [[2.0], [7.0]])
+
+    def test_row_with_a_missing_cell_is_dropped_before_other_checks(self, tmp_path):
+        path = _write(tmp_path / "t.csv", "y,a,b\n1,2,3\n,oops,inf\nnan,inf,3\n4,5,6\n")
+        table = ingest_csv(path, "y")
+        assert table.n == 2 and table.n_dropped == 2
 
     def test_ragged_row_cites_row(self, tmp_path):
         path = _write(tmp_path / "t.csv", "y,a\n1,2\n3\n")
@@ -167,6 +196,23 @@ class TestDatasetCsvRoundTrip:
         np.testing.assert_array_equal(table.y, data.y)
 
 
+    def test_bytes_match_per_cell_repr(self, tmp_path):
+        specials = [-0.0, 1e-05, 1e16, 5e-324, 0.1 + 0.2, 1.0, -2.5, 1e-300,
+                    1.7976931348623157e308, 123456789.123, 0.0001, 1e15 + 0.3]
+        x = np.array(specials).reshape(3, 4)
+        y = np.array([0.1 + 0.2, -0.0, 5e-324])
+        data = Dataset(x=x, y=y)
+        path = tmp_path / "sim.csv"
+        emit_dataset_csv(data, path)
+        expected = ["y,x1,x2,x3,x4"] + [
+            ",".join([repr(float(y[i]))] + [repr(float(v)) for v in x[i]]) for i in range(3)
+        ]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        table = ingest_csv(path, "y")
+        assert table.x.tobytes() == x.tobytes()
+        assert table.y.tobytes() == y.tobytes()
+
+
 class TestDiagnosticCsv:
     def test_layout(self, tmp_path):
         diag = stability_diagnostic(
@@ -209,6 +255,12 @@ class TestMatrixCsv:
         path = tmp_path / "m.csv"
         emit_matrix_csv(np.ones((2, 3)), path)
         with pytest.raises(IngestError, match="square"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, tmp_path, cell):
+        path = _write(tmp_path / "m.csv", f"1,0\n0,{cell}\n")
+        with pytest.raises(NumericalError, match="row 2, column 2"):
             read_matrix_csv(path)
 
     def test_rejects_garbage(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sirsupport.errors import CertificateUndefinedError, InvalidArgumentError
+from sirsupport.errors import CertificateUndefinedError, InvalidArgumentError, NumericalError
 from sirsupport.sdp import (
     BACKENDS,
     SdpConfig,
@@ -135,6 +135,13 @@ class TestSolveDiagnostics:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(InvalidArgumentError):
             sdp_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), SdpConfig(lam=0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_non_finite_input(self, bad, backend):
+        a = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(NumericalError, match="non-finite"):
+            sdp_solve(a, SdpConfig(lam=0.1, backend=backend))
 
     def test_splitting_converges_with_small_residual(self):
         rng = np.random.default_rng(3)
