@@ -40,7 +40,6 @@ from .sir import (
 )
 from .dt import SignedSupport, dt_select, dt_sir, signed_support_match
 from .sdp import (
-    BACKENDS,
     SdpConfig,
     SdpSolution,
     check_rank1_certificate,
@@ -106,7 +105,6 @@ __all__ = [
     "dt_sir",
     "signed_support_match",
     # semidefinite relaxation
-    "BACKENDS",
     "SdpConfig",
     "SdpSolution",
     "project_spectraplex",

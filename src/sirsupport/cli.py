@@ -235,14 +235,13 @@ def _cmd_sdp_solve(args) -> int:
     s = res.get("s", _as_int, None)
     tol = res.get("tol", _as_float, 1e-7)
     max_iter = res.get("max-iter", _as_int, 20000)
-    backend = res.get("backend", _as_name, "splitting")
     out = _ensure_out(res.get("out", _as_str, "."))
     a = read_matrix_csv(matrix_path)
     if lam is None:
         if s is None:
             raise InvalidArgumentError("provide --lambda, or --s to derive the penalty")
         lam = default_lambda(a, s)
-    sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=max_iter, tol=tol, backend=backend))
+    sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=max_iter, tol=tol))
     z_path = emit_matrix_csv(sol.z, os.path.join(out, "z.csv"))
     print(f"wrote {z_path}")
     diagnostics = {
@@ -251,8 +250,8 @@ def _cmd_sdp_solve(args) -> int:
         "converged": sol.converged,
         "residual": sol.residual,
         "rank1_gap": sol.rank1_gap,
+        "duality_gap": sol.duality_gap,
         "lambda": lam,
-        "backend": backend,
     }
     diag_path = os.path.join(out, "diagnostics.json")
     with open(diag_path, "w", newline="\n") as fh:
@@ -323,7 +322,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--s", help="sparsity used to derive the penalty when --lambda is absent")
     sp.add_argument("--tol", help="convergence tolerance")
     sp.add_argument("--max-iter", help="iteration cap")
-    sp.add_argument("--backend", help="splitting or conditional-gradient")
     sp.set_defaults(func=_cmd_sdp_solve)
     return parser
 

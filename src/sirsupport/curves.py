@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,35 +187,37 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
 
     Replicates are seeded independently from (master_seed, point index,
     replicate index), so results do not depend on execution order and
-    are bitwise identical for any worker count.
+    are bitwise identical for any worker count.  With workers > 1 one
+    process pool serves every grid point of the curve.
     """
     if not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise InvalidArgumentError(f"workers must be a positive integer, got {workers}")
     points: list[CurvePoint] = []
     walls: list[float] = []
-    for gi, gamma in enumerate(cfg.gamma_grid):
-        n = gamma_to_n(gamma, cfg.s, cfg.p)
-        start = time.perf_counter()
-        if n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p):
-            points.append(
-                CurvePoint(gamma=gamma, n=n, successes=None, reps=cfg.reps,
-                           success_rate=None, skipped=True)
-            )
-            walls.append(time.perf_counter() - start)
-            continue
-        tasks = [(cfg, gi, r, n) for r in range(cfg.reps)]
-        if workers == 1:
-            outcomes = [_run_replicate(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=int(workers)) as pool:
+    pool_cm = ProcessPoolExecutor(max_workers=int(workers)) if workers > 1 else nullcontext()
+    with pool_cm as pool:
+        for gi, gamma in enumerate(cfg.gamma_grid):
+            n = gamma_to_n(gamma, cfg.s, cfg.p)
+            start = time.perf_counter()
+            if n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p):
+                points.append(
+                    CurvePoint(gamma=gamma, n=n, successes=None, reps=cfg.reps,
+                               success_rate=None, skipped=True)
+                )
+                walls.append(time.perf_counter() - start)
+                continue
+            tasks = [(cfg, gi, r, n) for r in range(cfg.reps)]
+            if pool is None:
+                outcomes = [_run_replicate(t) for t in tasks]
+            else:
                 chunk = max(1, len(tasks) // (int(workers) * 4))
                 outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))
-        successes = int(sum(outcomes))
-        points.append(
-            CurvePoint(gamma=gamma, n=n, successes=successes, reps=cfg.reps,
-                       success_rate=successes / cfg.reps, skipped=False)
-        )
-        walls.append(time.perf_counter() - start)
+            successes = int(sum(outcomes))
+            points.append(
+                CurvePoint(gamma=gamma, n=n, successes=successes, reps=cfg.reps,
+                           success_rate=successes / cfg.reps, skipped=False)
+            )
+            walls.append(time.perf_counter() - start)
     return EfficiencyCurve(config=cfg, points=tuple(points), wall_times=tuple(walls))
 
 

@@ -73,7 +73,7 @@ def _oriented_principal_eigenvector(m: np.ndarray) -> np.ndarray:
     return vec
 
 
-def dt_sir(v, s: int, zero_threshold_policy=None) -> SignedSupport:
+def dt_sir(v, s: int) -> SignedSupport:
     """Signed support from the diagonal selection and the principal eigenvector.
 
     Selects the s largest-diagonal coordinates, takes the principal
@@ -82,12 +82,7 @@ def dt_sir(v, s: int, zero_threshold_policy=None) -> SignedSupport:
     signs on the selected coordinates (0 elsewhere).  An exactly-zero
     eigenvector entry stays 0, so the reported support can be smaller
     than s.
-
-    ``zero_threshold_policy`` is reserved and must be None: eigenvector
-    entries are never thresholded here.
     """
-    if zero_threshold_policy is not None:
-        raise InvalidArgumentError("zero_threshold_policy must be None")
     m = as_matrix(v)
     idx = dt_select(m, s)
     vec = _oriented_principal_eigenvector(m[np.ix_(idx, idx)])

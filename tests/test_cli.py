@@ -137,7 +137,7 @@ class TestSdpSolve:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["objective"] == pytest.approx(2.0, abs=1e-6)
         assert diag["lambda"] == 0.0
-        assert diag["backend"] == "splitting"
+        assert diag["duality_gap"] == pytest.approx(0.0, abs=1e-6)
         z = np.loadtxt(out / "z.csv", delimiter=",")
         assert z.shape == (2, 2)
         assert (out / "manifest.json").exists()
@@ -148,21 +148,6 @@ class TestSdpSolve:
         assert rc == 0
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["lambda"] == pytest.approx(1.0)
-
-    def test_backend_flag_maps_hyphen(self, tmp_path, matrix_csv):
-        out = tmp_path / "run"
-        rc = main(
-            [
-                "sdp-solve",
-                "--matrix", str(matrix_csv),
-                "--lambda", "0.1",
-                "--backend", "conditional-gradient",
-                "--out", str(out),
-            ]
-        )
-        assert rc == 0
-        diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["backend"] == "conditional_gradient"
 
     def test_needs_lambda_or_s(self, tmp_path, matrix_csv, capsys):
         rc = main(["sdp-solve", "--matrix", str(matrix_csv), "--out", str(tmp_path)])
@@ -245,18 +230,26 @@ class TestErrorHandling:
 
 
 class TestImportCost:
-    def test_cli_imports_without_scipy(self):
-        # only the conditional_gradient backend needs scipy; it imports it on use
+    """The package depends on numpy only, so importing it must not load scipy."""
+
+    @staticmethod
+    def _loads_scipy(module: str) -> str:
         src = Path(sirsupport.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
         )
-        probe = "import sys, sirsupport.cli; print('scipy' in sys.modules)"
+        probe = f"import sys, {module}; print('scipy' in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_cli_imports_without_scipy(self):
+        assert self._loads_scipy("sirsupport.cli") == "False"
+
+    def test_package_imports_without_scipy(self):
+        assert self._loads_scipy("sirsupport") == "False"
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -74,10 +74,6 @@ class TestDtSir:
         assert got.signs[0] == 0 and got.signs[3] == 0
         assert got.s_hat <= 2
 
-    def test_reserved_policy_must_be_none(self):
-        with pytest.raises(InvalidArgumentError):
-            dt_sir(np.eye(3), 2, zero_threshold_policy="round")
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(42)
         g = rng.standard_normal((7, 7))

@@ -5,7 +5,6 @@ import pytest
 
 from sirsupport.errors import CertificateUndefinedError, InvalidArgumentError, NumericalError
 from sirsupport.sdp import (
-    BACKENDS,
     SdpConfig,
     SdpSolution,
     check_rank1_certificate,
@@ -17,7 +16,7 @@ from sirsupport.sdp import (
 from sirsupport.sir import SirMatrix
 
 
-def _solution_from_z(z, rank1_gap=0.0):
+def _solution_from_z(z, rank1_gap=0.0, dual=None):
     return SdpSolution(
         z=z,
         objective=0.0,
@@ -25,7 +24,17 @@ def _solution_from_z(z, rank1_gap=0.0):
         converged=True,
         residual=0.0,
         rank1_gap=rank1_gap,
+        dual=np.zeros_like(z) if dual is None else dual,
+        duality_gap=0.0,
     )
+
+
+def _certified_gap(a, lam, sol):
+    """Weak-duality gap of a solve, recomputed from its dual and z."""
+    assert np.all(np.abs(sol.dual) <= 1.0)
+    assert np.array_equal(sol.dual, sol.dual.T)
+    upper = np.linalg.eigvalsh(a - lam * sol.dual)[-1]
+    return upper - (np.trace(a @ sol.z) - lam * np.abs(sol.z).sum())
 
 
 class TestProjectSpectraplex:
@@ -56,7 +65,7 @@ class TestProjectSpectraplex:
 class TestSdpConfig:
     def test_defaults(self):
         cfg = SdpConfig(lam=0.1)
-        assert cfg.backend == "splitting" and cfg.step is None
+        assert cfg.step is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -66,15 +75,11 @@ class TestSdpConfig:
             {"lam": 0.1, "max_iter": 0},
             {"lam": 0.1, "tol": 0.0},
             {"lam": 0.1, "step": -1.0},
-            {"lam": 0.1, "backend": "interior_point"},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             SdpConfig(**kwargs)
-
-    def test_backends_tuple(self):
-        assert BACKENDS == ("splitting", "conditional_gradient")
 
 
 class TestSdpSolutionValidation:
@@ -96,38 +101,50 @@ class TestSdpSolutionValidation:
         with pytest.raises(InvalidArgumentError):
             _solution_from_z(z, rank1_gap=1.5)
 
+    @pytest.mark.parametrize(
+        "dual",
+        [
+            np.array([[0.0, 0.5], [0.0, 0.0]]),
+            np.zeros((3, 3)),
+            np.array([[1.5, 0.0], [0.0, 0.0]]),
+        ],
+        ids=["asymmetric", "wrong_shape", "above_one"],
+    )
+    def test_rejects_bad_dual(self, dual):
+        with pytest.raises(InvalidArgumentError, match="dual"):
+            _solution_from_z(np.eye(2) / 2.0, rank1_gap=0.5, dual=dual)
 
-@pytest.mark.parametrize("backend", BACKENDS)
+
 class TestSolveHandExamples:
-    def test_no_penalty_picks_top_eigendirection(self, backend):
+    def test_no_penalty_picks_top_eigendirection(self):
         a = np.diag([2.0, 1.0])
-        sol = sdp_solve(a, SdpConfig(lam=0.0, backend=backend))
+        sol = sdp_solve(a, SdpConfig(lam=0.0))
         assert sol.objective == pytest.approx(2.0, abs=1e-6)
         np.testing.assert_allclose(sol.z, np.diag([1.0, 0.0]), atol=1e-5)
         assert sol.rank1_gap < 1e-5
 
-    def test_rank_one_all_ones(self, backend):
+    def test_rank_one_all_ones(self):
         a = np.ones((2, 2))
-        sol = sdp_solve(a, SdpConfig(lam=0.0, backend=backend))
+        sol = sdp_solve(a, SdpConfig(lam=0.0))
         assert sol.objective == pytest.approx(2.0, abs=1e-6)
         np.testing.assert_allclose(sol.z, np.full((2, 2), 0.5), atol=1e-5)
 
-    def test_heavy_penalty_keeps_unit_trace(self, backend):
+    def test_heavy_penalty_keeps_unit_trace(self):
         # trace is pinned at 1, so the l1 term costs at least lam and the
         # best move is to spend it all on the largest diagonal entry
         a = np.diag([2.0, 1.0])
-        sol = sdp_solve(a, SdpConfig(lam=100.0, backend=backend))
+        sol = sdp_solve(a, SdpConfig(lam=100.0))
         assert sol.objective == pytest.approx(-98.0, abs=1e-5)
         np.testing.assert_allclose(sol.z, np.diag([1.0, 0.0]), atol=1e-4)
 
-    def test_one_by_one(self, backend):
-        sol = sdp_solve(np.array([[2.0]]), SdpConfig(lam=0.5, backend=backend))
+    def test_one_by_one(self):
+        sol = sdp_solve(np.array([[2.0]]), SdpConfig(lam=0.5))
         np.testing.assert_allclose(sol.z, [[1.0]], atol=1e-9)
         assert sol.objective == pytest.approx(1.5, abs=1e-9)
 
-    def test_accepts_matrix_wrapper(self, backend):
+    def test_accepts_matrix_wrapper(self):
         v = SirMatrix(v=np.diag([2.0, 1.0]), mode="raw", h=2)
-        sol = sdp_solve(v, SdpConfig(lam=0.0, backend=backend))
+        sol = sdp_solve(v, SdpConfig(lam=0.0))
         assert sol.objective == pytest.approx(2.0, abs=1e-6)
 
 
@@ -137,11 +154,10 @@ class TestSolveDiagnostics:
             sdp_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), SdpConfig(lam=0.1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rejects_non_finite_input(self, bad, backend):
+    def test_rejects_non_finite_input(self, bad):
         a = np.array([[1.0, bad], [bad, 1.0]])
         with pytest.raises(NumericalError, match="non-finite"):
-            sdp_solve(a, SdpConfig(lam=0.1, backend=backend))
+            sdp_solve(a, SdpConfig(lam=0.1))
 
     def test_splitting_converges_with_small_residual(self):
         rng = np.random.default_rng(3)
@@ -152,27 +168,18 @@ class TestSolveDiagnostics:
         assert sol.residual <= 1e-9
         assert sol.iterations >= 1
 
-    def test_zero_penalty_shortcut_is_exact(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((6, 6))
-        a = (g + g.T) / 2.0
-        sol = sdp_solve(a, SdpConfig(lam=0.0, backend="conditional_gradient"))
-        assert sol.objective == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-10)
-        assert sol.converged
-
-    def test_backends_agree_on_sample(self):
+    def test_certified_gap_on_sample(self):
         rng = np.random.default_rng(99)
         for _ in range(3):
             g = rng.standard_normal((6, 6))
             a = (g @ g.T) / 6.0
             for lam in (0.0, 0.1):
-                objs = {
-                    b: sdp_solve(a, SdpConfig(lam=lam, backend=b)).objective
-                    for b in BACKENDS
-                }
-                assert objs["splitting"] == pytest.approx(
-                    objs["conditional_gradient"], abs=1e-5
-                )
+                sol = sdp_solve(a, SdpConfig(lam=lam))
+                gap = _certified_gap(a, lam, sol)
+                assert gap <= 1e-5
+                assert sol.duality_gap == pytest.approx(gap, abs=1e-12)
+                if lam == 0.0:
+                    assert not sol.dual.any()
 
 
 class TestSignRecover:
