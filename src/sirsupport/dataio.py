@@ -4,13 +4,23 @@ All emitters format floats with ``repr``, which round-trips IEEE
 doubles exactly, uses a decimal point and never a thousands separator.
 Files are written with "\\n" line endings so a rerun with the same
 inputs is byte-identical.
+
+Both ends of a dataset CSV work in blocks of ``_BLOCK_ROWS`` rows.  The
+dataset and matrix emitters format and write one block at a time, so
+writing holds the array plus one block of text.  ``ingest_csv`` parses
+one block of lines at a time with numpy's C reader into float blocks,
+so reading holds the parsed table plus one block of text; building the
+returned arrays copies the table once more.  ``#`` has no special
+meaning in any input: a cell ``2#c`` is non-numeric, not ``2``.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -40,6 +50,9 @@ __all__ = [
 ]
 
 RECOVER_METHODS = ("dt", "sdp")
+
+# Rows per block of a streamed dataset or matrix CSV, in both directions.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,53 @@ def _check_unconvertible_row(path, header: list[str], line_no: int, row: list[st
             ) from None
 
 
+def _parse_block(lines: list[str], width: int):
+    """Parse a block of lines with numpy's C reader, or return None.
+
+    None unless every line gives one row of ``width`` numbers; a blank
+    line or any cell the reader rejects sends the block cell by cell.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a block of blank lines holds no data
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return block if block.shape == (len(lines), width) else None
+
+
+def _parse_rows(path, header: list[str], line_no: int, lines: list[str], fh):
+    """Convert a block of lines cell by cell with ``csv.reader`` and ``float``.
+
+    The path for a block the C reader rejects.  ``line_no`` is the
+    record number of the block's first line.  A quoted record still open
+    at the end of the block reads its remaining lines from ``fh``.
+    Returns the converted rows as an array, their record numbers, the
+    number of rows dropped for a missing cell and the next record number.
+    """
+    rows: list[list[float]] = []
+    line_nos: list[int] = []
+    dropped = 0
+    reader = csv.reader(itertools.chain(lines, fh))
+    for row in reader:
+        if row:
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
+                )
+            try:
+                rows.append(list(map(float, row)))
+                line_nos.append(line_no)
+            except ValueError:
+                _check_unconvertible_row(path, header, line_no, row)
+                dropped += 1
+        line_no += 1
+        if reader.line_num >= len(lines):
+            break
+    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return table, np.array(line_nos, dtype=np.int64), dropped, line_no
+
+
 def ingest_csv(path, y_column: str) -> IngestedTable:
     """Read a headed CSV of numbers, dropping rows with missing values.
 
@@ -104,15 +164,21 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
     are dropped and counted rather than imputed.  In the remaining rows
     a non-numeric cell is an error, and so is a cell that parses to
     plus or minus infinity; both errors cite the file row number (the
-    header is row 1) and the column name.  Fewer than 2 complete rows
-    is an error.
+    header is row 1, a blank line counts as a row) and the column name.
+    Fewer than 2 complete rows is an error.
+
+    The body is read in blocks of ``_BLOCK_ROWS`` lines.  A block that
+    numpy's C reader parses into one row of the header's width per line
+    is taken as parsed; any other block (a missing, quoted, non-ASCII or
+    otherwise unusual cell, a wrong-width row or a blank line) is
+    converted cell by cell with ``float``, which decides every rule
+    above.  Both paths give the same values, since every cell the C
+    reader accepts converts to the same double under ``float``.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: file is empty, expected a header row") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise IngestError(f"{path}: file is empty, expected a header row")
         header = [name.strip() for name in header]
         if y_column not in header:
             raise IngestError(
@@ -120,46 +186,45 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
             )
         y_idx = header.index(y_column)
         x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
-        rows: list[list[float]] = []
-        line_nos: list[int] = []
+        width = len(header)
+        blocks = [np.empty((0, width))]
+        block_line_nos = [np.empty(0, dtype=np.int64)]
         dropped = 0
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}: row {line_no} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                _check_unconvertible_row(path, header, line_no, row)
-                dropped += 1
-                continue
-            line_nos.append(line_no)
-    table = np.array(rows, dtype=float).reshape(len(rows), len(header))
+        line_no = 2
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            block = _parse_block(lines, width)
+            if block is not None:
+                nos = np.arange(line_no, line_no + len(lines))
+                line_no += len(lines)
+            else:
+                block, nos, n_missing, line_no = _parse_rows(path, header, line_no, lines, fh)
+                dropped += n_missing
+            blocks.append(block)
+            block_line_nos.append(nos)
+    table = np.concatenate(blocks)
+    del blocks  # so the copies below never hold the table three times
+    line_nos = np.concatenate(block_line_nos)
     complete = ~np.isnan(table).any(axis=1)
     dropped += int(table.shape[0] - complete.sum())
     table = table[complete]
     infinite = np.argwhere(np.isinf(table))
     if infinite.size:
         i, j = infinite[0]
-        line_no = np.asarray(line_nos)[complete][i]
         raise IngestError(
-            f"{path}: infinite value {float(table[i, j])} at row {line_no}, "
+            f"{path}: infinite value {float(table[i, j])} at row {line_nos[complete][i]}, "
             f"column {header[j]!r}"
         )
     if table.shape[0] < 2:
         raise IngestError(
             f"{path}: only {table.shape[0]} complete rows after dropping {dropped}; need at least 2"
         )
-    mask = np.ones(len(header), dtype=bool)
+    mask = np.ones(width, dtype=bool)
     mask[y_idx] = False
     return IngestedTable(
         columns=x_names,
         y_column=y_column,
         x=table[:, mask],
-        y=table[:, y_idx],
+        y=table[:, y_idx].copy(),  # a view would keep the whole table alive
         n_dropped=dropped,
     )
 
@@ -227,6 +292,14 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
 CURVE_HEADER = "model,p,s,method,mode,H,gamma,n,reps,successes,success_rate,skipped"
 
 
+def _write_lines(path, lines) -> str:
+    """Write each string of ``lines`` followed by "\\n": every emitter's write path."""
+    with open(path, "w", newline="\n") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+    return str(path)
+
+
 def emit_curve_csv(curve: EfficiencyCurve, path) -> str:
     """Write one row per grid point, in gamma order, under a fixed header.
 
@@ -243,9 +316,7 @@ def emit_curve_csv(curve: EfficiencyCurve, path) -> str:
             f"{cfg.h},{_fmt(pt.gamma)},{pt.n},{pt.reps},{successes},{rate},"
             f"{'true' if pt.skipped else 'false'}"
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return str(path)
+    return _write_lines(path, lines)
 
 
 def _format_rows(m: np.ndarray) -> list[str]:
@@ -253,13 +324,17 @@ def _format_rows(m: np.ndarray) -> list[str]:
     return [",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist()]
 
 
+def _row_blocks(*columns: np.ndarray):
+    """The formatted lines of ``np.column_stack(columns)``, one block of rows at a time."""
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        yield from _format_rows(np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]))
+
+
 def emit_dataset_csv(data: Dataset, path) -> str:
     """Write a dataset as y,x1,...,xp with exact float round-trip."""
     names = ["y"] + [f"x{j + 1}" for j in range(data.p)]
-    lines = [",".join(names)] + _format_rows(np.column_stack((data.y, data.x)))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return str(path)
+    return _write_lines(path, itertools.chain([",".join(names)], _row_blocks(data.y, data.x)))
 
 
 def emit_diagnostic_csv(diag: StabilityDiagnostic, model_name: str, mc_n: int, path) -> str:
@@ -273,9 +348,7 @@ def emit_diagnostic_csv(diag: StabilityDiagnostic, model_name: str, mc_n: int, p
                 f"{model_name},{mc_n},{h},{k + 1},{_fmt(edges[k])},{_fmt(edges[k + 1])},"
                 f"{_fmt(variances[k])},{_fmt(total)},{_fmt(decay)}"
             )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return str(path)
+    return _write_lines(path, lines)
 
 
 def emit_recovery_csv(report: RecoveryReport, path) -> str:
@@ -285,25 +358,23 @@ def emit_recovery_csv(report: RecoveryReport, path) -> str:
             f"{row.variable},{_fmt(row.score)},{row.rank},"
             f"{'true' if row.selected else 'false'},{row.sign}"
         )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return str(path)
+    return _write_lines(path, lines)
 
 
 def emit_matrix_csv(m: np.ndarray, path) -> str:
-    lines = _format_rows(m)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return str(path)
+    m = np.asarray(m, dtype=float)
+    # a matrix without rows is written as one empty line
+    return _write_lines(path, _row_blocks(m) if len(m) else [""])
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless square numeric matrix.
 
-    A NaN or infinite entry raises ``NumericalError``.
+    A non-numeric cell (``2#c`` included) raises ``IngestError``; a NaN
+    or infinite entry raises ``NumericalError``.
     """
     try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
+        m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
     if m.shape[0] != m.shape[1]:

@@ -162,6 +162,13 @@ class TestSdpSolve:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_hash_in_a_cell_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("1,2#junk\n3,4\n")
+        rc = main(["sdp-solve", "--matrix", str(path), "--lambda", "0.1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "2#junk" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_ini_supplies_options(self, tmp_path):

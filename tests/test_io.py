@@ -268,6 +268,12 @@ class TestMatrixCsv:
         with pytest.raises(IngestError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize("text", ["1,2#junk\n3,4\n", "# a comment\n1,2\n3,4\n"])
+    def test_hash_is_not_a_comment(self, tmp_path, text):
+        path = _write(tmp_path / "m.csv", text)
+        with pytest.raises(IngestError, match="#"):
+            read_matrix_csv(path)
+
 
 class TestManifest:
     def test_written_payload(self, tmp_path):
