@@ -156,26 +156,13 @@ def _parse_rows(path, header: list[str], line_no: int, lines: list[str], fh):
     return table, np.array(line_nos, dtype=np.int64), dropped, line_no
 
 
-def ingest_csv(path, y_column: str) -> IngestedTable:
-    """Read a headed CSV of numbers, dropping rows with missing values.
+def _read_blocks(path, y_column: str):
+    """Read the header and the body blocks of a dataset CSV (see ``ingest_csv``).
 
-    A cell is missing if it is empty, ``NA`` (any case) or parses to
-    NaN (``nan``, ``NaN``, ``-nan``, ...).  Rows with a missing cell
-    are dropped and counted rather than imputed.  In the remaining rows
-    a non-numeric cell is an error, and so is a cell that parses to
-    plus or minus infinity; both errors cite the file row number (the
-    header is row 1, a blank line counts as a row) and the column name.
-    Fewer than 2 complete rows is an error.
-
-    The body is read in blocks of ``_BLOCK_ROWS`` lines.  A block that
-    numpy's C reader parses into one row of the header's width per line
-    is taken as parsed; any other block (a missing, quoted, non-ASCII or
-    otherwise unusual cell, a wrong-width row or a blank line) is
-    converted cell by cell with ``float``, which decides every rule
-    above.  Both paths give the same values, since every cell the C
-    reader accepts converts to the same double under ``float``.
+    Returns the stripped header, the parsed float blocks, their record
+    numbers and the number of rows dropped for a missing cell.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
         if header is None:
             raise IngestError(f"{path}: file is empty, expected a header row")
@@ -184,8 +171,6 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
             raise IngestError(
                 f"{path}: response column {y_column!r} not found; columns are {header}"
             )
-        y_idx = header.index(y_column)
-        x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
         width = len(header)
         blocks = [np.empty((0, width))]
         block_line_nos = [np.empty(0, dtype=np.int64)]
@@ -201,6 +186,54 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
                 dropped += n_missing
             blocks.append(block)
             block_line_nos.append(nos)
+    return header, blocks, block_line_nos, dropped
+
+
+def _first_non_utf8(path) -> tuple[int, int]:
+    """Row number (the header is row 1) and value of the first byte that is not UTF-8.
+
+    Lines are split as the text reader splits them; a UTF-8 sequence never
+    holds a line-break byte, so the first line that fails to decode alone
+    holds the byte the reader stopped at.
+    """
+    with open(path, newline="", encoding="latin-1") as fh:
+        for row, line in enumerate(fh, start=1):
+            raw = line.encode("latin-1")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return row, raw[exc.start]
+    raise AssertionError(f"{path} decodes as UTF-8 line by line")  # pragma: no cover
+
+
+def ingest_csv(path, y_column: str) -> IngestedTable:
+    """Read a headed CSV of numbers, dropping rows with missing values.
+
+    A cell is missing if it is empty, ``NA`` (any case) or parses to
+    NaN (``nan``, ``NaN``, ``-nan``, ...).  Rows with a missing cell
+    are dropped and counted rather than imputed.  In the remaining rows
+    a non-numeric cell is an error, and so is a cell that parses to
+    plus or minus infinity; both errors cite the file row number (the
+    header is row 1, a blank line counts as a row) and the column name.
+    Fewer than 2 complete rows is an error, and so is a byte that is not
+    UTF-8 text, cited by its row.
+
+    The body is read in blocks of ``_BLOCK_ROWS`` lines.  A block that
+    numpy's C reader parses into one row of the header's width per line
+    is taken as parsed; any other block (a missing, quoted, non-ASCII or
+    otherwise unusual cell, a wrong-width row or a blank line) is
+    converted cell by cell with ``float``, which decides every rule
+    above.  Both paths give the same values, since every cell the C
+    reader accepts converts to the same double under ``float``.
+    """
+    try:
+        header, blocks, block_line_nos, dropped = _read_blocks(path, y_column)
+    except UnicodeDecodeError:
+        row, byte = _first_non_utf8(path)
+        raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
+    y_idx = header.index(y_column)
+    x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
+    width = len(header)
     table = np.concatenate(blocks)
     del blocks  # so the copies below never hold the table three times
     line_nos = np.concatenate(block_line_nos)

@@ -29,7 +29,7 @@ class SignedSupport:
         signs = np.asarray(self.signs)
         if signs.ndim != 1 or signs.size < 1:
             raise InvalidArgumentError("signs must be a nonempty 1-d array")
-        if not np.isin(signs, (-1, 0, 1)).all():
+        if not ((signs == -1) | (signs == 0) | (signs == 1)).all():
             raise InvalidArgumentError("signs must take values in {-1, 0, +1}")
         signs = signs.astype(np.int8)
         signs.setflags(write=False)
@@ -85,7 +85,7 @@ def dt_sir(v, s: int) -> SignedSupport:
     """
     m = as_matrix(v)
     idx = dt_select(m, s)
-    vec = _oriented_principal_eigenvector(m[np.ix_(idx, idx)])
+    vec = _oriented_principal_eigenvector(m[idx[:, None], idx])
     signs = np.zeros(m.shape[0], dtype=np.int8)
     signs[idx] = np.sign(vec)
     return SignedSupport(signs=signs)

@@ -112,12 +112,12 @@ class SparseDirection:
         values = np.asarray(self.values, dtype=float).copy()
         if values.ndim != 1 or values.size < 1:
             raise InvalidArgumentError("values must be a nonempty 1-d array")
-        nrm = math.sqrt(math.fsum(v * v for v in values))
+        nrm = math.sqrt(math.fsum((values * values).tolist()))
         if abs(nrm - 1.0) > 1e-12:
             raise InvalidArgumentError(f"values must have unit norm, got {nrm!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "support", tuple(int(j) for j in np.flatnonzero(values)))
+        object.__setattr__(self, "support", tuple(np.flatnonzero(values).tolist()))
 
     @property
     def p(self) -> int:
@@ -201,7 +201,7 @@ def generate_beta(p: int, s: int, scheme: str = "fixed", seed: int = 0) -> Spars
         half = s // 2
         values[:half] = mags[:half]
         values[half:s] = -mags[half:]
-        values /= math.sqrt(math.fsum(v * v for v in values[:s]))
+        values /= math.sqrt(math.fsum((values[:s] * values[:s]).tolist()))
     return SparseDirection(values=values)
 
 

@@ -124,7 +124,11 @@ def project_spectraplex(m) -> np.ndarray:
     Eigendecomposes the (symmetric) input, projects the eigenvalues onto
     the probability simplex, and reassembles.
     """
-    a = _require_symmetric(as_matrix(m))
+    return _project_symmetric(_require_symmetric(as_matrix(m)))
+
+
+def _project_symmetric(a: np.ndarray) -> np.ndarray:
+    """``project_spectraplex`` for an exactly symmetric array, unchecked."""
     try:
         w, q = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -176,7 +180,9 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     norm = _spectral_norm(a)
     step = cfg.step if cfg.step is not None else (1.0 / norm if norm > 0 else 1.0)
     thr = lam * step
-    z = project_spectraplex(step * a)
+    # the iterates stay exactly symmetric, so each projection skips the
+    # public symmetry check and only mirrors, as that check would
+    z = _project_symmetric(_mirror_upper(step * a))
     w = z.copy()
     u = np.zeros_like(z)
     residual = math.inf
@@ -184,7 +190,7 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     it = 0
     for it in range(1, cfg.max_iter + 1):
         z_prev = z
-        z = project_spectraplex(w - u + step * a)
+        z = _project_symmetric(_mirror_upper(w - u + step * a))
         w = _soft(z + u, thr)
         u = u + z - w
         residual = max(

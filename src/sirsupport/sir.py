@@ -15,6 +15,7 @@ that matrix in three estimator modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,10 +51,21 @@ def as_matrix(v) -> np.ndarray:
     return m
 
 
+@lru_cache(maxsize=8)
+def _upper_mask(p: int) -> np.ndarray:
+    """Read-only p x p mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((p, p), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy: mirror the upper triangle onto the lower."""
-    upper = np.triu(m)
-    return upper + np.triu(m, 1).T
+    """Exactly symmetric copy: mirror the upper triangle onto the lower.
+
+    Bit for bit ``np.triu(m) + np.triu(m, 1).T``: every entry is an
+    upper-triangle entry plus 0.0, which turns -0.0 into +0.0.
+    """
+    return np.where(_upper_mask(m.shape[0]), m, m.T) + 0.0
 
 
 def _eigh(m: np.ndarray):
@@ -192,6 +204,7 @@ def sir_matrix_whitened(
         )
     xc = data.x - data.x.mean(axis=0)
     sigma = _mirror_upper(xc.T @ xc / n)
+    del xc  # so slicing's sorted copy of x never sits beside this one
     w = inv_sqrt_sym(sigma, eig_floor)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v
     v = _mirror_upper(w @ centered @ w)

@@ -113,6 +113,16 @@ class TestRecover:
         assert len(lines) == 4
         assert lines[1].startswith("a,")
 
+    def test_non_utf8_byte_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,a\n1,2\n3,\xff\n5,6\n")
+        rc = main(["recover", "--data", str(path), "--s", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "bad.csv: byte 0xff at row 3 is not UTF-8 text" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "recovery.csv").exists()
+
     def test_rank_deficient_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "fat.csv"
         path.write_text("y,a,b,c,d\n1,2,3,4,5\n6,7,8,9,10\n3,1,4,1,5\n")

@@ -140,6 +140,27 @@ class TestRunCurve:
         assert len(curve.wall_times) == len(curve.points) == 1
         assert curve.wall_times[0] >= 0.0
 
+    def test_frozen_dt_sir_counts_at_the_benchmark_shape(self):
+        # p=100, s=10 as in the benchmark curve, on a grid across the
+        # transition; the counts come from the reference forms of the
+        # per-replicate helpers (np.triu mirror, np.isin sign check, np.ix_
+        # gather), so a change to any replicate's outcome moves them
+        cfg = CurveConfig(
+            model=ModelSpec(link="atan2", noise_sd=1.0),
+            p=100,
+            sparsity=10,
+            gamma_grid=(6.0, 10.0, 14.0),
+            beta_scheme="fixed",
+            h=10,
+            reps=40,
+            master_seed=2026,
+            estimator_mode="centered",
+        )
+        frozen = [(270, 1), (450, 11), (630, 32)]
+        for workers in (1, 2):
+            curve = run_curve(cfg, workers=workers)
+            assert [(pt.n, pt.successes) for pt in curve.points] == frozen
+
     def test_rejects_bad_worker_count(self):
         with pytest.raises(InvalidArgumentError):
             run_curve(_cfg(), workers=0)

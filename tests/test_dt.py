@@ -18,6 +18,37 @@ class TestSignedSupport:
         with pytest.raises(InvalidArgumentError):
             SignedSupport(signs=np.array([2, 0]))
 
+    def test_accepts_exactly_what_isin_accepted(self):
+        values = [
+            [1, 0, -1],
+            [0.5, 1],
+            [2, 0],
+            [-2, 1],
+            [1.0, -0.0, -1.0],
+            [np.nan, 1],
+            [np.inf, 0],
+            [-np.inf, -1],
+            [True, False],
+            [True, 2],
+            [255, 0],
+        ]
+        verdicts = []
+        for vals in values:
+            for dtype in (None, np.int8, np.uint8, np.int64, np.float32, bool):
+                try:
+                    signs = np.array(vals, dtype=dtype)
+                except (OverflowError, ValueError):
+                    continue  # not representable in this dtype
+                accepted = bool(np.isin(signs, (-1, 0, 1)).all())
+                verdicts.append(accepted)
+                if accepted:
+                    got = SignedSupport(signs=signs).signs
+                    np.testing.assert_array_equal(got, signs.astype(np.int8))
+                else:
+                    with pytest.raises(InvalidArgumentError):
+                        SignedSupport(signs=signs)
+        assert len(verdicts) >= 40 and 10 <= sum(verdicts) <= len(verdicts) - 10
+
     def test_read_only(self):
         s = SignedSupport(signs=np.array([1, -1]))
         with pytest.raises(ValueError):

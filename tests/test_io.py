@@ -108,6 +108,26 @@ class TestIngestCsv:
         with pytest.raises(IngestError, match="at least 2"):
             ingest_csv(path, "y")
 
+    @pytest.mark.parametrize(
+        "raw, row, byte",
+        [
+            (b"y,a\n1,2\n3,\xff\n5,6\n", 3, "0xff"),
+            (b"y,\xe9a\n1,2\n3,4\n", 1, "0xe9"),
+            # a truncated two-byte sequence at the end of a long file
+            (b"y,a\r\n" + b"1,2\r\n" * 600 + b"7,\xc3", 602, "0xc3"),
+        ],
+    )
+    def test_non_utf8_byte_cites_row(self, tmp_path, raw, row, byte):
+        path = tmp_path / "t.csv"
+        path.write_bytes(raw)
+        with pytest.raises(IngestError, match=rf"t.csv: byte {byte} at row {row} is not UTF-8"):
+            ingest_csv(path, "y")
+
+    def test_utf8_text_is_read(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("y,\u00e9a\n1,2\n3,4\n".encode("utf-8"))
+        assert ingest_csv(path, "y").columns == ("\u00e9a",)
+
 
 @pytest.fixture(scope="module")
 def table(tmp_path_factory):

@@ -10,6 +10,7 @@ from sirsupport.models import Dataset, ModelSpec, generate_beta, sample_sim
 from sirsupport.sir import (
     MODES,
     SirMatrix,
+    _mirror_upper,
     as_matrix,
     inv_sqrt_sym,
     sir_matrix,
@@ -102,6 +103,45 @@ class TestSirMatrix:
 
     def test_modes_tuple(self):
         assert MODES == ("raw", "centered", "whitened")
+
+
+def _special_entries(p: int, layout: str) -> np.ndarray:
+    """A p x p matrix with signed zeros, NaNs and infinities in both triangles."""
+    rng = np.random.default_rng(p)
+    m = rng.standard_normal((p, p))
+    cells = rng.permutation(p * p)[: max(1, p * p // 4)]
+    specials = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf])
+    m.flat[cells] = specials[np.arange(cells.size) % specials.size]
+    if layout == "fortran":
+        return np.asfortranarray(m)
+    if layout == "strided":
+        wide = np.zeros((p, 2 * p))
+        wide[:, ::2] = m
+        return wide[:, ::2]
+    return m
+
+
+class TestMirrorUpper:
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 100])
+    def test_bit_identical_to_two_triangles(self, p, layout):
+        m = _special_entries(p, layout)
+        want = np.triu(m) + np.triu(m, 1).T
+        got = _mirror_upper(m)
+        assert got.dtype == want.dtype and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_sign_and_nan_entries(self):
+        m = np.array([[-0.0, -0.0, np.nan], [1.0, 2.0, -0.0], [np.nan, 5.0, -0.0]])
+        got = _mirror_upper(m)
+        # -0.0 + 0.0 is +0.0, on the diagonal and off it
+        assert not np.signbit(got).any()
+        assert np.isnan(got[0, 2]) and np.isnan(got[2, 0])
+        assert got[1, 0] == 0.0 and got[2, 1] == 0.0
+        assert m[0, 0] == -0.0 and np.signbit(m[0, 0])  # the input is not touched
+
+    def test_empty_matrix(self):
+        assert _mirror_upper(np.zeros((0, 0))).shape == (0, 0)
 
 
 class TestAsMatrix:
