@@ -1,9 +1,14 @@
 """Command line interface.
 
 Subcommands: simulate, curve, diagnose, recover, sdp-solve.  Options can
-come from a ``--config`` INI file with one section per command; explicit
-command-line flags always win.  Exit codes: 0 on success, 1 on
-configuration or input-format errors, 2 on numerical failures.
+also come from a ``--config`` INI file with one section per command.  A
+key is the long flag without its dashes (``noise-sd``, ``gamma-grid``,
+``H``, ``lambda``), matched case-insensitively.  The section's values
+become the command's defaults, so explicit flags always win.  A key in
+the section that names none of the command's options is an error; keys
+inherited from ``[DEFAULT]`` that the command lacks are ignored.  Exit
+codes: 0 on success, 1 on configuration or input-format errors, 2 on
+numerical failures.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .curves import CurveConfig, run_curve, stability_diagnostic
+from .curves import SPARSITY_RULES, CurveConfig, run_curve, stability_diagnostic
 from .dataio import (
     RunManifest,
     emit_curve_csv,
@@ -43,77 +48,69 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _as_int(text: str) -> int:
-    return int(text)
+class _CommandParser(_Parser):
+    """Raise on a bad option value (flag or INI key), so ``main`` returns 1."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
 
 
-def _as_float(text: str) -> float:
-    return float(text)
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
-def _as_str(text: str) -> str:
-    return text
-
-
-def _as_name(text: str) -> str:
-    """Accept hyphenated spellings of underscored names (dt-sir, log-p)."""
+def _underscored(text: str) -> str:
+    """Accept hyphenated spellings of underscored names (dt-sir)."""
     return text.replace("-", "_")
 
 
-def _as_floats(text: str) -> tuple[float, ...]:
-    parts = [t for t in text.replace(",", " ").split() if t]
-    return tuple(float(t) for t in parts)
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.replace(",", " ").split())
 
 
-def _as_ints(text: str) -> tuple[int, ...]:
-    parts = [t for t in text.replace(",", " ").split() if t]
-    return tuple(int(t) for t in parts)
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _as_sparsity(text: str):
-    if text in ("sqrt_p", "log_p"):
-        return text
-    return int(text)
+def _sparsity(text: str) -> int | str:
+    return text if text in SPARSITY_RULES else int(text)
 
 
-class _Resolver:
-    """Layered option lookup: command line, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace, section: dict[str, str]):
-        self.args = args
-        self.section = section
-        self.effective: dict = {}
-
-    def get(self, key: str, convert, default=None, required: bool = False):
-        attr = key.replace("-", "_")
-        raw = getattr(self.args, attr, None)
-        if raw is None:
-            # reserved words (lambda) get a trailing underscore as dest
-            raw = getattr(self.args, attr + "_", None)
-        if raw is None:
-            raw = self.section.get(key)
-        if raw is None:
-            if required:
-                raise InvalidArgumentError(f"missing required option --{key}")
-            value = default
-        else:
-            try:
-                value = convert(raw)
-            except (TypeError, ValueError) as exc:
-                raise InvalidArgumentError(f"bad value for --{key}: {raw!r} ({exc})") from None
-        self.effective[key.replace("-", "_")] = value
-        return value
+def _require(args, *dests: str) -> None:
+    for dest in dests:
+        if getattr(args, dest) is None:
+            raise InvalidArgumentError(f"missing required option --{dest.replace('_', '-')}")
 
 
-def _load_section(config_path: str | None, section: str) -> dict[str, str]:
-    if config_path is None:
+def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> dict[str, str]:
+    """The command's section of an INI file, keyed by option dest.
+
+    A key is a long flag without its dashes.  configparser lower-cases
+    keys, so they match flags case-insensitively.  A key the section
+    sets itself must name an option; one it inherits from [DEFAULT] and
+    the command lacks is ignored.
+    """
+    ini = configparser.ConfigParser()
+    with open(path) as fh:
+        ini.read_file(fh)
+    if not ini.has_section(section):
         return {}
-    parser = configparser.ConfigParser()
-    with open(config_path) as fh:
-        parser.read_file(fh)
-    if parser.has_section(section):
-        return dict(parser.items(section))
-    return {}
+    dests = {
+        flag[2:].lower(): action.dest
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and action.dest not in ("help", "config")
+    }
+    defaults = {}
+    for key, value in ini.items(section):
+        if key in dests:
+            defaults[dests[key]] = value
+        elif key not in ini.defaults():
+            raise InvalidArgumentError(f"{path}: unknown key {key!r} in section [{section}]")
+    return defaults
 
 
 def _ensure_out(out: str) -> str:
@@ -121,127 +118,93 @@ def _ensure_out(out: str) -> str:
     return out
 
 
-def _manifest(command: str, args, out: str, seed, resolver: _Resolver) -> None:
+def _manifest(args, out: str, seed: int | None) -> None:
     manifest = RunManifest(
-        command=command,
+        command=args.command,
         config_path=args.config,
         output_dir=out,
         seed=seed,
         version=__version__,
     )
+    # sdp-solve accepts --seed but draws nothing random, so it records no seed
+    skip = {"command", "func", "config"} | ({"seed"} if seed is None else set())
     effective = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in resolver.effective.items()
+        k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip
     }
     path = write_manifest(manifest, effective, os.path.join(out, "manifest.json"))
     print(f"wrote {path}")
 
 
 def _cmd_simulate(args) -> int:
-    res = _Resolver(args, _load_section(args.config, "simulate"))
-    model_name = res.get("model", _as_str, "linear")
-    noise_sd = res.get("noise-sd", _as_float, 1.0)
-    p = res.get("p", _as_int, required=True)
-    s = res.get("s", _as_int, required=True)
-    n = res.get("n", _as_int, required=True)
-    scheme = res.get("beta-scheme", _as_str, "fixed")
-    seed = res.get("seed", _as_int, 0)
-    out = _ensure_out(res.get("out", _as_str, "."))
-    model = ModelSpec(link=model_name, noise_sd=noise_sd)
+    _require(args, "p", "s", "n")
+    out = _ensure_out(args.out)
+    model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
     # independent child seeds for the direction and the sample
-    beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64))
-    beta = generate_beta(p, s, scheme, beta_seed)
-    data = sample_sim(model, beta, n, data_seed)
+    beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64))
+    beta = generate_beta(args.p, args.s, args.beta_scheme, beta_seed)
+    data = sample_sim(model, beta, args.n, data_seed)
     path = emit_dataset_csv(data, os.path.join(out, "dataset.csv"))
     print(f"wrote {path}")
-    _manifest("simulate", args, out, seed, res)
+    _manifest(args, out, args.seed)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    res = _Resolver(args, _load_section(args.config, "curve"))
-    model_name = res.get("model", _as_str, "linear")
-    noise_sd = res.get("noise-sd", _as_float, 1.0)
-    p = res.get("p", _as_int, required=True)
-    sparsity = res.get("sparsity", _as_sparsity, "sqrt_p")
-    method = res.get("method", _as_name, "dt_sir")
-    mode = res.get("mode", _as_str, "centered")
-    h = res.get("H", _as_int, 10)
-    gamma_grid = res.get("gamma-grid", _as_floats, required=True)
-    reps = res.get("reps", _as_int, 500)
-    scheme = res.get("beta-scheme", _as_str, "fixed")
-    seed = res.get("seed", _as_int, 0)
-    lam = res.get("lambda", _as_float, None)
-    workers = res.get("workers", _as_int, 1)
-    out = _ensure_out(res.get("out", _as_str, "."))
+    _require(args, "p", "gamma_grid")
+    out = _ensure_out(args.out)
     cfg = CurveConfig(
-        model=ModelSpec(link=model_name, noise_sd=noise_sd),
-        p=p,
-        sparsity=sparsity,
-        gamma_grid=gamma_grid,
-        method=method,
-        beta_scheme=scheme,
-        h=h,
-        reps=reps,
-        master_seed=seed,
-        estimator_mode=mode,
-        sdp_lambda=lam,
+        model=ModelSpec(link=args.model, noise_sd=args.noise_sd),
+        p=args.p,
+        sparsity=args.sparsity,
+        gamma_grid=args.gamma_grid,
+        method=args.method,
+        beta_scheme=args.beta_scheme,
+        h=args.H,
+        reps=args.reps,
+        master_seed=args.seed,
+        estimator_mode=args.mode,
+        sdp_lambda=getattr(args, "lambda"),
     )
-    curve = run_curve(cfg, workers=workers)
+    curve = run_curve(cfg, workers=args.workers)
     path = emit_curve_csv(curve, os.path.join(out, "curve.csv"))
     print(f"wrote {path}")
-    _manifest("curve", args, out, seed, res)
+    _manifest(args, out, args.seed)
     return 0
 
 
 def _cmd_diagnose(args) -> int:
-    res = _Resolver(args, _load_section(args.config, "diagnose"))
-    model_name = res.get("model", _as_str, "linear")
-    noise_sd = res.get("noise-sd", _as_float, 1.0)
-    h_grid = res.get("h-grid", _as_ints, (5, 10, 20, 40))
-    mc_n = res.get("mc-n", _as_int, 200_000)
-    seed = res.get("seed", _as_int, 0)
-    out = _ensure_out(res.get("out", _as_str, "."))
-    model = ModelSpec(link=model_name, noise_sd=noise_sd)
-    diag = stability_diagnostic(model, h_grid, mc_n, seed)
-    path = emit_diagnostic_csv(diag, model_name, mc_n, os.path.join(out, "diagnostic.csv"))
+    out = _ensure_out(args.out)
+    model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
+    diag = stability_diagnostic(model, args.h_grid, args.mc_n, args.seed)
+    path = emit_diagnostic_csv(diag, args.model, args.mc_n, os.path.join(out, "diagnostic.csv"))
     print(f"wrote {path}")
-    _manifest("diagnose", args, out, seed, res)
+    _manifest(args, out, args.seed)
     return 0
 
 
 def _cmd_recover(args) -> int:
-    res = _Resolver(args, _load_section(args.config, "recover"))
-    data_path = res.get("data", _as_str, required=True)
-    y_column = res.get("y-column", _as_str, "y")
-    s = res.get("s", _as_int, required=True)
-    h = res.get("H", _as_int, 10)
-    method = res.get("method", _as_str, "dt")
-    seed = res.get("seed", _as_int, 0)
-    out = _ensure_out(res.get("out", _as_str, "."))
-    table = ingest_csv(data_path, y_column)
+    _require(args, "data", "s")
+    out = _ensure_out(args.out)
+    table = ingest_csv(args.data, args.y_column)
     if table.n_dropped:
         print(f"dropped {table.n_dropped} rows with missing values", file=sys.stderr)
-    report = recover_real(table, s, h, method, seed)
+    report = recover_real(table, args.s, args.H, args.method, args.seed)
     path = emit_recovery_csv(report, os.path.join(out, "recovery.csv"))
     print(f"wrote {path}")
-    _manifest("recover", args, out, seed, res)
+    _manifest(args, out, args.seed)
     return 0
 
 
 def _cmd_sdp_solve(args) -> int:
-    res = _Resolver(args, _load_section(args.config, "sdp-solve"))
-    matrix_path = res.get("matrix", _as_str, required=True)
-    lam = res.get("lambda", _as_float, None)
-    s = res.get("s", _as_int, None)
-    tol = res.get("tol", _as_float, 1e-7)
-    max_iter = res.get("max-iter", _as_int, 20000)
-    out = _ensure_out(res.get("out", _as_str, "."))
-    a = read_matrix_csv(matrix_path)
+    _require(args, "matrix")
+    out = _ensure_out(args.out)
+    a = read_matrix_csv(args.matrix)
+    lam = getattr(args, "lambda")
     if lam is None:
-        if s is None:
+        if args.s is None:
             raise InvalidArgumentError("provide --lambda, or --s to derive the penalty")
-        lam = default_lambda(a, s)
-    sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=max_iter, tol=tol))
+        lam = default_lambda(a, args.s)
+    sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=args.max_iter, tol=args.tol))
     z_path = emit_matrix_csv(sol.z, os.path.join(out, "z.csv"))
     print(f"wrote {z_path}")
     diagnostics = {
@@ -258,78 +221,78 @@ def _cmd_sdp_solve(args) -> int:
         json.dump(diagnostics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {diag_path}")
-    _manifest("sdp-solve", args, out, None, res)
+    _manifest(args, out, None)
     return 0
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(prog="sirsupport", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sirsupport {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def common(sp):
+    def command(name, func, summary):
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="INI config file with a section per command")
-        sp.add_argument("--seed", help="master seed")
-        sp.add_argument("--out", help="output directory (default: current directory)")
+        sp.add_argument("--seed", type=_seed, default=0, help="master seed")
+        sp.add_argument("--out", default=".", help="output directory (default: current directory)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="emit a synthetic single index dataset")
-    common(sp)
-    sp.add_argument("--p", help="dimension")
-    sp.add_argument("--s", help="sparsity")
-    sp.add_argument("--n", help="sample size")
-    sp.add_argument("--model", help="link name")
-    sp.add_argument("--noise-sd", help="noise standard deviation")
-    sp.add_argument("--beta-scheme", help="fixed or random_uniform")
-    sp.set_defaults(func=_cmd_simulate)
+    def model(sp):
+        sp.add_argument("--model", default="linear", help="link name")
+        sp.add_argument("--noise-sd", type=float, default=1.0, help="noise standard deviation")
 
-    sp = sub.add_parser("curve", help="run a seeded efficiency curve")
-    common(sp)
-    sp.add_argument("--p", help="dimension")
-    sp.add_argument("--sparsity", help="integer, sqrt_p, or log_p")
-    sp.add_argument("--model", help="link name")
-    sp.add_argument("--noise-sd")
-    sp.add_argument("--beta-scheme")
-    sp.add_argument("--method", help="dt-sir or sdp")
-    sp.add_argument("--mode", help="raw, centered, or whitened")
-    sp.add_argument("--H", help="number of slices")
-    sp.add_argument("--gamma-grid", help="comma-separated rescaled sample sizes")
-    sp.add_argument("--reps", help="replicates per grid point")
-    sp.add_argument("--lambda", dest="lambda_", help="fixed penalty for the sdp method")
-    sp.add_argument("--workers", help="parallel worker count")
-    sp.set_defaults(func=_cmd_curve)
+    sp = command("simulate", _cmd_simulate, "emit a synthetic single index dataset")
+    sp.add_argument("--p", type=int, help="dimension")
+    sp.add_argument("--s", type=int, help="sparsity")
+    sp.add_argument("--n", type=int, help="sample size")
+    model(sp)
+    sp.add_argument("--beta-scheme", default="fixed", help="fixed or random_uniform")
 
-    sp = sub.add_parser("diagnose", help="sliced-stability diagnostic for a model")
-    common(sp)
-    sp.add_argument("--model")
-    sp.add_argument("--noise-sd")
-    sp.add_argument("--h-grid", help="comma-separated slice counts")
-    sp.add_argument("--mc-n", help="Monte-Carlo sample size")
-    sp.set_defaults(func=_cmd_diagnose)
+    sp = command("curve", _cmd_curve, "run a seeded efficiency curve")
+    sp.add_argument("--p", type=int, help="dimension")
+    sp.add_argument("--sparsity", type=_sparsity, default="sqrt_p", help="integer, sqrt_p, or log_p")
+    model(sp)
+    sp.add_argument("--beta-scheme", default="fixed")
+    sp.add_argument("--method", type=_underscored, default="dt_sir", help="dt-sir or sdp")
+    sp.add_argument("--mode", default="centered", help="raw, centered, or whitened")
+    sp.add_argument("--H", type=int, default=10, help="number of slices")
+    sp.add_argument("--gamma-grid", type=_floats, help="comma-separated rescaled sample sizes")
+    sp.add_argument("--reps", type=int, default=500, help="replicates per grid point")
+    sp.add_argument("--lambda", type=float, help="fixed penalty for the sdp method")
+    sp.add_argument("--workers", type=int, default=1, help="parallel worker count")
 
-    sp = sub.add_parser("recover", help="rank variables of a CSV dataset")
-    common(sp)
+    sp = command("diagnose", _cmd_diagnose, "sliced-stability diagnostic for a model")
+    model(sp)
+    sp.add_argument("--h-grid", type=_ints, default=(5, 10, 20, 40), help="comma-separated slice counts")
+    sp.add_argument("--mc-n", type=int, default=200_000, help="Monte-Carlo sample size")
+
+    sp = command("recover", _cmd_recover, "rank variables of a CSV dataset")
     sp.add_argument("--data", help="input CSV path")
-    sp.add_argument("--y-column", help="response column name (default y)")
-    sp.add_argument("--s", help="number of variables to select")
-    sp.add_argument("--H", help="number of slices")
-    sp.add_argument("--method", help="dt or sdp")
-    sp.set_defaults(func=_cmd_recover)
+    sp.add_argument("--y-column", default="y", help="response column name (default y)")
+    sp.add_argument("--s", type=int, help="number of variables to select")
+    sp.add_argument("--H", type=int, default=10, help="number of slices")
+    sp.add_argument("--method", default="dt", help="dt or sdp")
 
-    sp = sub.add_parser("sdp-solve", help="solve the penalized relaxation on a matrix")
-    common(sp)
+    sp = command("sdp-solve", _cmd_sdp_solve, "solve the penalized relaxation on a matrix")
     sp.add_argument("--matrix", help="CSV path of a square symmetric matrix")
-    sp.add_argument("--lambda", dest="lambda_", help="penalty level")
-    sp.add_argument("--s", help="sparsity used to derive the penalty when --lambda is absent")
-    sp.add_argument("--tol", help="convergence tolerance")
-    sp.add_argument("--max-iter", help="iteration cap")
-    sp.set_defaults(func=_cmd_sdp_solve)
-    return parser
+    sp.add_argument("--lambda", type=float, help="penalty level")
+    sp.add_argument("--s", type=int, help="sparsity used to derive the penalty when --lambda is absent")
+    sp.add_argument("--tol", type=float, default=1e-7, help="convergence tolerance")
+    sp.add_argument("--max-iter", type=int, default=20000, help="iteration cap")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
     try:
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # INI values become string defaults, which argparse converts with each option's type
+            command = commands[args.command]
+            command.set_defaults(**_ini_defaults(args.config, command, args.command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (InvalidArgumentError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)

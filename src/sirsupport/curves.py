@@ -20,7 +20,7 @@ import numpy as np
 
 from .dt import SignedSupport, dt_sir, signed_support_match
 from .errors import InvalidArgumentError, NumericalError
-from .models import BETA_SCHEMES, ModelSpec, generate_beta, sample_sim
+from .models import BETA_SCHEMES, Dataset, ModelSpec, generate_beta, sample_sim
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
 from .sir import sir_matrix, sir_matrix_whitened, slice_data
 
@@ -94,8 +94,8 @@ class CurveConfig:
         grid = tuple(float(g) for g in self.gamma_grid)
         if len(grid) == 0:
             raise InvalidArgumentError("gamma_grid must be nonempty")
-        if any(g < 0 for g in grid):
-            raise InvalidArgumentError("gamma values must be nonnegative")
+        if not all(0 <= g < math.inf for g in grid):
+            raise InvalidArgumentError(f"gamma values must be finite and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgumentError("gamma_grid must be strictly increasing")
         if self.method not in METHODS:
@@ -271,17 +271,14 @@ def stability_diagnostic(
     boundaries = []
     for h in h_grid:
         inner = h * INNER_RESOLUTION
-        m = z.size // inner
-        keep = m * inner
-        order = np.argsort(y[:keep], kind="stable")
-        zs = z[:keep][order]
-        ys = y[:keep][order]
-        inner_means = zs.reshape(inner, m).mean(axis=1)
-        grouped = inner_means.reshape(h, INNER_RESOLUTION)
+        keep = z.size // inner * inner
+        sliced = slice_data(Dataset(z[:keep, None], y[:keep]), inner)
+        grouped = sliced.slice_means.reshape(h, INNER_RESOLUTION)
         variances.append(grouped.var(axis=1))
+        ys = y[:keep][sliced.order]
         edges = np.empty(h + 1)
         edges[0] = ys[0]
-        edges[1:h] = ys[np.arange(1, h) * (m * INNER_RESOLUTION)]
+        edges[1:h] = ys[np.arange(1, h) * (sliced.m * INNER_RESOLUTION)]
         edges[h] = ys[-1]
         boundaries.append(edges)
     sums = np.array([v.sum() for v in variances])

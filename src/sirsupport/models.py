@@ -220,20 +220,6 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
     return Dataset(x=x, y=y, seed_provenance=_provenance(seed, f"gaussian-design/{model.link}"))
 
 
-def _slice_means_1d(z: np.ndarray, y: np.ndarray, n_slices: int) -> np.ndarray:
-    """Means of z over equal-size groups of the sample ordered by y.
-
-    The sample is truncated to the largest multiple of n_slices by
-    dropping trailing draws (a prefix of an i.i.d. sample is still
-    i.i.d., so the truncation is unbiased).
-    """
-    m = z.size // n_slices
-    keep = m * n_slices
-    zt, yt = z[:keep], y[:keep]
-    order = np.argsort(yt, kind="stable")
-    return zt[order].reshape(n_slices, m).mean(axis=1)
-
-
 def estimate_cv(
     model: ModelSpec,
     mc_n: int = 1_000_000,
@@ -244,7 +230,9 @@ def estimate_cv(
 
     Draws mc_n scalar pairs (Z, Y) with Z ~ N(0, 1), sorts by Y, splits
     into ``oracle_slices`` equal slices and returns the variance of the
-    slice means of Z.
+    slice means of Z.  The sample is first truncated to the largest
+    multiple of ``oracle_slices`` by dropping trailing draws (a prefix of
+    an i.i.d. sample is still i.i.d., so the truncation is unbiased).
 
     Requires mc_n >= 100 * oracle_slices so each slice mean averages at
     least 100 draws.
@@ -259,5 +247,9 @@ def estimate_cv(
     z = rng.standard_normal(int(mc_n))
     eps = model.noise_sd * rng.standard_normal(int(mc_n))
     y = model.response(z, eps)
-    means = _slice_means_1d(z, y, int(oracle_slices))
+    from .sir import slice_data  # sir imports this module
+
+    h = int(oracle_slices)
+    keep = z.size // h * h
+    means = slice_data(Dataset(z[:keep, None], y[:keep]), h).slice_means
     return float(np.mean(means**2) - np.mean(means) ** 2)

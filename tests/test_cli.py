@@ -213,6 +213,111 @@ class TestConfigFile:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["curve", "recover"])
+    def test_ini_sets_slice_count(self, tmp_path, command):
+        _matrix_and_data(tmp_path)
+        section = {
+            "curve": "p = 8\nsparsity = 2\ngamma-grid = 8\nreps = 2\n",
+            "recover": f"data = {tmp_path / 'data.csv'}\ns = 1\n",
+        }[command]
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{command}]\nH = 3\n{section}")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["H"] == 3
+
+    def test_unknown_key_exits_one(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[curve]\np = 8\ngama = 9\ngamma-grid = 8\n")
+        rc = main(["curve", "--config", str(ini), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "'gama'" in err and "[curve]" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_default_keys_a_command_lacks_are_ignored(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\np = 8\nseed = 4\n[diagnose]\nh-grid = 2,4\nmc-n = 4000\n")
+        out = tmp_path / "run"
+        assert main(["diagnose", "--config", str(ini), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+
+    def test_bad_ini_value_names_the_flag(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[simulate]\np = abc\ns = 1\nn = 10\n")
+        assert main(["simulate", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert "--p" in capsys.readouterr().err
+
+
+def _matrix_and_data(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 3))
+    y = x[:, 0] + 0.1 * rng.standard_normal(40)
+    rows = "".join(",".join(repr(float(v)) for v in (y[i], *x[i])) + "\n" for i in range(40))
+    (tmp_path / "data.csv").write_text("y,a,b,c\n" + rows)
+    emit_matrix_csv(np.diag([2.0, 1.0]), tmp_path / "a.csv")
+
+
+# Each command's flags and the manifest ``config`` they gave before the
+# INI reader moved onto argparse defaults; the INI form must give the same.
+PINNED_MANIFESTS = {
+    "simulate": (
+        ["--p", "6", "--s", "2", "--n", "30", "--seed", "3", "--model", "atan2",
+         "--noise-sd", "0.5", "--beta-scheme", "random_uniform"],
+        {"beta_scheme": "random_uniform", "model": "atan2", "n": 30, "noise_sd": 0.5,
+         "out": "run", "p": 6, "s": 2, "seed": 3},
+    ),
+    "curve": (
+        ["--p", "8", "--sparsity", "2", "--method", "dt-sir", "--mode", "raw", "--H", "4",
+         "--gamma-grid", "2,8", "--reps", "3", "--seed", "5", "--lambda", "0.5",
+         "--noise-sd", "0.5"],
+        {"H": 4, "beta_scheme": "fixed", "gamma_grid": [2.0, 8.0], "lambda": 0.5,
+         "method": "dt_sir", "mode": "raw", "model": "linear", "noise_sd": 0.5, "out": "run",
+         "p": 8, "reps": 3, "seed": 5, "sparsity": 2, "workers": 1},
+    ),
+    "diagnose": (
+        ["--model", "sinh", "--h-grid", "2,4", "--mc-n", "4000", "--seed", "1"],
+        {"h_grid": [2, 4], "mc_n": 4000, "model": "sinh", "noise_sd": 1.0, "out": "run",
+         "seed": 1},
+    ),
+    "recover": (
+        ["--data", "data.csv", "--s", "1", "--H", "4", "--method", "sdp", "--y-column", "y",
+         "--seed", "2"],
+        {"H": 4, "data": "data.csv", "method": "sdp", "out": "run", "s": 1, "seed": 2,
+         "y_column": "y"},
+    ),
+    "sdp-solve": (
+        ["--matrix", "a.csv", "--lambda", "0.1", "--tol", "1e-6", "--max-iter", "500"],
+        {"lambda": 0.1, "matrix": "a.csv", "max_iter": 500, "out": "run", "s": None,
+         "tol": 1e-06},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_MANIFESTS))
+def test_manifest_config_from_flags_and_ini(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    _matrix_and_data(tmp_path)
+    argv, expected = PINNED_MANIFESTS[command]
+    assert main([command, *argv, "--out", "run"]) == 0
+    flags = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert flags["config"] == expected
+    assert flags["seed"] == expected.get("seed")
+
+    pairs = zip(argv[::2], argv[1::2])
+    section = "".join(f"{flag[2:]} = {value}\n" for flag, value in pairs)
+    (tmp_path / "run.ini").write_text(f"[{command}]\n{section}out = run\n")
+    shutil.move(tmp_path / "run", tmp_path / "flags")
+    assert main([command, "--config", "run.ini"]) == 0
+    ini = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert ini["config"] == expected
+    assert ini["config_path"] == "run.ini"
+    artifacts = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert artifacts == sorted(p.name for p in (tmp_path / "run").iterdir())
+    for name in set(artifacts) - {"manifest.json"}:
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
 class TestErrorHandling:
     def test_missing_required_option(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -223,6 +328,31 @@ class TestErrorHandling:
         rc = main(["simulate", "--p", "abc", "--s", "1", "--n", "10", "--out", str(tmp_path)])
         assert rc == 1
         assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--p", "4", "--s", "1", "--n", "10"],
+            ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1"],
+            ["diagnose", "--h-grid", "2", "--mc-n", "2000"],
+            ["recover", "--data", "data.csv", "--s", "1", "--H", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_exits_one(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _matrix_and_data(tmp_path)
+        rc = main([*argv, "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("grid", ["nan", "1,inf"])
+    def test_non_finite_gamma_exits_one(self, tmp_path, capsys, grid):
+        rc = main(["curve", "--p", "8", "--gamma-grid", grid, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["recover", "--data", str(tmp_path / "nope.csv"), "--s", "1"])

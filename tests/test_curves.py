@@ -81,6 +81,8 @@ class TestCurveConfig:
             {"reps": 0},
             {"estimator_mode": "robust"},
             {"sdp_lambda": -0.5},
+            {"gamma_grid": (float("nan"),)},
+            {"gamma_grid": (1.0, float("inf"))},
         ],
     )
     def test_rejects_bad_settings(self, overrides):
