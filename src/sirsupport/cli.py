@@ -137,8 +137,8 @@ def _manifest(args, out: str, seed: int | None) -> None:
 
 def _cmd_simulate(args) -> int:
     _require(args, "p", "s", "n")
-    out = _ensure_out(args.out)
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
+    out = _ensure_out(args.out)
     # independent child seeds for the direction and the sample
     beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64))
     beta = generate_beta(args.p, args.s, args.beta_scheme, beta_seed)
@@ -151,7 +151,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_curve(args) -> int:
     _require(args, "p", "gamma_grid")
-    out = _ensure_out(args.out)
     cfg = CurveConfig(
         model=ModelSpec(link=args.model, noise_sd=args.noise_sd),
         p=args.p,
@@ -165,6 +164,7 @@ def _cmd_curve(args) -> int:
         estimator_mode=args.mode,
         sdp_lambda=getattr(args, "lambda"),
     )
+    out = _ensure_out(args.out)
     curve = run_curve(cfg, workers=args.workers)
     path = emit_curve_csv(curve, os.path.join(out, "curve.csv"))
     print(f"wrote {path}")
@@ -173,8 +173,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    out = _ensure_out(args.out)
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
+    out = _ensure_out(args.out)
     diag = stability_diagnostic(model, args.h_grid, args.mc_n, args.seed)
     path = emit_diagnostic_csv(diag, args.model, args.mc_n, os.path.join(out, "diagnostic.csv"))
     print(f"wrote {path}")
@@ -261,7 +261,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
     sp.add_argument("--gamma-grid", type=_floats, help="comma-separated rescaled sample sizes")
     sp.add_argument("--reps", type=int, default=500, help="replicates per grid point")
     sp.add_argument("--lambda", type=float, help="fixed penalty for the sdp method")
-    sp.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes; results identical for any count")
 
     sp = command("diagnose", _cmd_diagnose, "sliced-stability diagnostic for a model")
     model(sp)

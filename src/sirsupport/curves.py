@@ -11,9 +11,9 @@ as the number of slices grows.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,6 +137,14 @@ class CurvePoint:
 
 @dataclass(frozen=True)
 class EfficiencyCurve:
+    """The points of one curve, in grid order, and their compute times.
+
+    ``wall_times[i]`` is the seconds spent running point i's replicates,
+    summed over its blocks as timed inside the process that ran them
+    (so with several workers it can exceed the curve's wall time); a
+    skipped point gets 0.0.
+    """
+
     config: CurveConfig
     points: tuple[CurvePoint, ...]
     wall_times: tuple[float, ...] = field(default=())
@@ -157,11 +165,7 @@ def _replicate_seeds(master_seed: int, point_index: int, rep: int) -> tuple[int,
 
 
 def _run_replicate(task: tuple[CurveConfig, int, int, int]) -> bool:
-    """One seeded replicate; True on exact signed-support recovery.
-
-    Module-level so process pools can pickle it.  A custom-link model is
-    only usable with workers > 1 if its callable is picklable.
-    """
+    """One seeded replicate; True on exact signed-support recovery."""
     cfg, point_index, rep, n = task
     beta_seed, data_seed, slice_seed = _replicate_seeds(cfg.master_seed, point_index, rep)
     s = cfg.s
@@ -182,43 +186,76 @@ def _run_replicate(task: tuple[CurveConfig, int, int, int]) -> bool:
     return signed_support_match(sdp_sign_recover(sol, s), truth)
 
 
+def _run_block(
+    cfg: CurveConfig, point_index: int, lo: int, hi: int, n: int
+) -> tuple[int, int, float]:
+    """Replicates lo..hi-1 of one grid point: (point_index, successes, seconds).
+
+    Module-level so process pools can pickle it; a worker sends back one
+    count per block rather than one outcome per replicate.
+    """
+    start = time.perf_counter()
+    successes = int(sum(_run_replicate((cfg, point_index, rep, n)) for rep in range(lo, hi)))
+    return point_index, successes, time.perf_counter() - start
+
+
+def _require_picklable_link(model: ModelSpec) -> None:
+    """Reject a custom link that cannot be sent to a worker process."""
+    if model.link != "custom":
+        return
+    try:
+        pickle.dumps(model.custom_link)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        name = getattr(model.custom_link, "__qualname__", repr(model.custom_link))
+        raise InvalidArgumentError(
+            f"custom link {name!r} cannot be pickled for worker processes ({exc}); "
+            "use a module-level function or workers=1"
+        ) from exc
+
+
 def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     """Run every replicate of every nonskipped grid point (see ``CurvePoint``).
 
     Replicates are seeded independently from (master_seed, point index,
     replicate index), so results do not depend on execution order and
-    are bitwise identical for any worker count.  With workers > 1 one
-    process pool serves every grid point of the curve.
+    are bitwise identical for any worker count.  With workers = 1 the
+    points run in grid order in this process.  With workers > 1 the
+    whole curve is one work queue on one process pool: every nonskipped
+    point is cut into blocks of max(1, reps // (4 * workers))
+    replicates, and the blocks are queued costliest first (larger n
+    first), so no point waits for another to finish and the pool's tail
+    is one small block.  No pool is started when every point is skipped.
+    A custom link must then be picklable; otherwise InvalidArgumentError
+    is raised before any worker starts.
     """
     if not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise InvalidArgumentError(f"workers must be a positive integer, got {workers}")
-    points: list[CurvePoint] = []
-    walls: list[float] = []
-    pool_cm = ProcessPoolExecutor(max_workers=int(workers)) if workers > 1 else nullcontext()
-    with pool_cm as pool:
-        for gi, gamma in enumerate(cfg.gamma_grid):
-            n = gamma_to_n(gamma, cfg.s, cfg.p)
-            start = time.perf_counter()
-            if n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p):
-                points.append(
-                    CurvePoint(gamma=gamma, n=n, successes=None, reps=cfg.reps,
-                               success_rate=None, skipped=True)
-                )
-                walls.append(time.perf_counter() - start)
-                continue
-            tasks = [(cfg, gi, r, n) for r in range(cfg.reps)]
-            if pool is None:
-                outcomes = [_run_replicate(t) for t in tasks]
-            else:
-                chunk = max(1, len(tasks) // (int(workers) * 4))
-                outcomes = list(pool.map(_run_replicate, tasks, chunksize=chunk))
-            successes = int(sum(outcomes))
-            points.append(
-                CurvePoint(gamma=gamma, n=n, successes=successes, reps=cfg.reps,
-                           success_rate=successes / cfg.reps, skipped=False)
-            )
-            walls.append(time.perf_counter() - start)
-    return EfficiencyCurve(config=cfg, points=tuple(points), wall_times=tuple(walls))
+    workers = int(workers)
+    ns = [gamma_to_n(gamma, cfg.s, cfg.p) for gamma in cfg.gamma_grid]
+    run = [gi for gi, n in enumerate(ns)
+           if not (n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p))]
+    if workers == 1 or not run:
+        results = [_run_block(cfg, gi, 0, cfg.reps, ns[gi]) for gi in run]
+    else:
+        _require_picklable_link(cfg.model)
+        block = max(1, cfg.reps // (4 * workers))
+        queue = [(cfg, gi, lo, min(lo + block, cfg.reps), ns[gi])
+                 for gi in sorted(run, key=lambda gi: -ns[gi])
+                 for lo in range(0, cfg.reps, block)]
+        with ProcessPoolExecutor(max_workers=min(workers, len(queue))) as pool:
+            results = list(pool.map(_run_block, *zip(*queue)))
+    successes = dict.fromkeys(run, 0)
+    seconds = [0.0] * len(ns)
+    for gi, hits, elapsed in results:
+        successes[gi] += hits
+        seconds[gi] += elapsed
+    points = []
+    for gi, (gamma, n) in enumerate(zip(cfg.gamma_grid, ns)):
+        hits = successes.get(gi)
+        points.append(CurvePoint(gamma=gamma, n=n, successes=hits, reps=cfg.reps,
+                                 success_rate=None if hits is None else hits / cfg.reps,
+                                 skipped=hits is None))
+    return EfficiencyCurve(config=cfg, points=tuple(points), wall_times=tuple(seconds))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class ModelSpec:
     link : str
         One of ``LINK_NAMES`` or ``"custom"``.
     noise_sd : float
-        Noise standard deviation, must be >= 0.  Defaults to 1.
+        Noise standard deviation, must be finite and >= 0.  Defaults to 1.
     custom_link : callable, optional
         Vectorized f(u, eps) used when ``link == "custom"``.  Must accept
         and return numpy arrays of matching shape.
@@ -88,8 +88,10 @@ class ModelSpec:
             raise InvalidArgumentError(
                 f"unknown link {self.link!r}; expected one of {LINK_NAMES} or 'custom'"
             )
-        if not (self.noise_sd >= 0.0):
-            raise InvalidArgumentError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not (0.0 <= self.noise_sd < math.inf):
+            raise InvalidArgumentError(
+                f"noise_sd must be finite and nonnegative, got {self.noise_sd}"
+            )
 
     @classmethod
     def custom(cls, fn: Callable, noise_sd: float = 1.0) -> "ModelSpec":

@@ -354,6 +354,22 @@ class TestErrorHandling:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--p", "5", "--s", "2", "--n", "10"],
+            ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1"],
+            ["diagnose", "--h-grid", "2", "--mc-n", "2000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_infinite_noise_exits_one(self, tmp_path, capsys, argv):
+        rc = main([*argv, "--noise-sd", "inf", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "noise_sd must be finite" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         rc = main(["recover", "--data", str(tmp_path / "nope.csv"), "--s", "1"])
         assert rc == 1

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from sirsupport import curves
 from sirsupport.curves import (
     METHODS,
     SPARSITY_RULES,
@@ -166,6 +169,97 @@ class TestRunCurve:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(InvalidArgumentError):
             run_curve(_cfg(), workers=0)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def _inline_pool(tasks: list):
+    """An in-process stand-in for ProcessPoolExecutor that records its tasks."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            batch = list(zip(*iterables))
+            tasks.extend(batch)
+            return [fn(*task) for task in batch]
+
+    return InlinePool
+
+
+def _module_level_link(u, eps):
+    return u + eps
+
+
+class TestScheduler:
+    # p=10, h=5, whitened: gamma 0.1 gives n=1 < 2h, gamma 2.3 gives n=10 <= p
+    MIXED = dict(gamma_grid=(0.1, 2.3, 4.0, 10.0), reps=7, master_seed=11,
+                 estimator_mode="whitened")
+
+    def test_mixed_skips_identical_for_any_worker_count(self):
+        cfg = _cfg(**self.MIXED)
+        curves_run = [run_curve(cfg, workers=w) for w in (1, 2, 3)]
+        assert [pt.skipped for pt in curves_run[0].points] == [True, True, False, False]
+        assert curves_run[0].points == curves_run[1].points == curves_run[2].points
+
+    def test_wall_times_per_point_and_zero_when_skipped(self):
+        cfg = _cfg(**self.MIXED)
+        for workers in (1, 2):
+            curve = run_curve(cfg, workers=workers)
+            assert len(curve.wall_times) == len(curve.points)
+            for pt, seconds in zip(curve.points, curve.wall_times):
+                assert (seconds == 0.0) if pt.skipped else (seconds > 0.0)
+
+    def test_block_count_equals_its_replicates(self):
+        cfg = _cfg(gamma_grid=(3.0, 6.0), reps=9, master_seed=5)
+        n = gamma_to_n(6.0, cfg.s, cfg.p)
+        point, successes, seconds = curves._run_block(cfg, 1, 2, 8, n)
+        assert point == 1 and seconds >= 0.0
+        assert successes == sum(curves._run_replicate((cfg, 1, r, n)) for r in range(2, 8))
+
+    def test_queue_is_costliest_first_and_covers_every_replicate(self, monkeypatch):
+        tasks = []
+        monkeypatch.setattr(curves, "ProcessPoolExecutor", _inline_pool(tasks))
+        cfg = _cfg(**{**self.MIXED, "reps": 19})
+        curve = run_curve(cfg, workers=2)
+        assert curve.points == run_curve(cfg, workers=1).points
+        ns = [n for _, _, _, _, n in tasks]
+        assert ns == sorted(ns, reverse=True)
+        # blocks of max(1, reps // (4 * workers)) = 2 replicates, the last one short
+        assert [hi - lo for _, gi, lo, hi, _ in tasks if gi == 2] == [2] * 9 + [1]
+        covered = sorted((gi, r) for _, gi, lo, hi, _ in tasks for r in range(lo, hi))
+        assert covered == [(gi, r) for gi in (2, 3) for r in range(19)]
+
+    def test_no_pool_when_every_point_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(curves, "ProcessPoolExecutor", _no_pool)
+        curve = run_curve(_cfg(gamma_grid=(0.1, 0.2), reps=3), workers=2)
+        assert all(pt.skipped for pt in curve.points)
+        assert curve.wall_times == (0.0, 0.0)
+
+    def test_unpicklable_link_rejected_before_any_worker(self, monkeypatch):
+        monkeypatch.setattr(curves, "ProcessPoolExecutor", _no_pool)
+
+        def local_link(u, eps):
+            return u + eps
+
+        for link in (lambda u, eps: u + eps, local_link):
+            cfg = _cfg(model=ModelSpec.custom(link), gamma_grid=(3.0,), reps=2)
+            with pytest.raises(InvalidArgumentError, match=re.escape(link.__qualname__)):
+                run_curve(cfg, workers=2)
+            assert run_curve(cfg, workers=1).points[0].successes is not None
+
+    def test_picklable_custom_link_runs_on_the_pool(self):
+        cfg = _cfg(model=ModelSpec.custom(_module_level_link), gamma_grid=(3.0, 6.0), reps=4)
+        assert run_curve(cfg, workers=2).points == run_curve(cfg, workers=1).points
 
 
 class TestStabilityDiagnostic:

@@ -45,6 +45,11 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError):
             ModelSpec(link="linear", noise_sd=-1.0)
 
+    @pytest.mark.parametrize("noise_sd", [math.inf, math.nan])
+    def test_non_finite_noise_rejected(self, noise_sd):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            ModelSpec(link="linear", noise_sd=noise_sd)
+
 
 class TestSparseDirection:
     def test_support_and_signs(self):
