@@ -114,6 +114,8 @@ def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> 
 
 
 def _ensure_out(out: str) -> str:
+    # called once a command's input is checked and its result computed,
+    # so a rejected run leaves no output folder behind
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -138,11 +140,11 @@ def _manifest(args, out: str, seed: int | None) -> None:
 def _cmd_simulate(args) -> int:
     _require(args, "p", "s", "n")
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
-    out = _ensure_out(args.out)
     # independent child seeds for the direction and the sample
     beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64))
     beta = generate_beta(args.p, args.s, args.beta_scheme, beta_seed)
     data = sample_sim(model, beta, args.n, data_seed)
+    out = _ensure_out(args.out)
     path = emit_dataset_csv(data, os.path.join(out, "dataset.csv"))
     print(f"wrote {path}")
     _manifest(args, out, args.seed)
@@ -164,8 +166,8 @@ def _cmd_curve(args) -> int:
         estimator_mode=args.mode,
         sdp_lambda=getattr(args, "lambda"),
     )
-    out = _ensure_out(args.out)
     curve = run_curve(cfg, workers=args.workers)
+    out = _ensure_out(args.out)
     path = emit_curve_csv(curve, os.path.join(out, "curve.csv"))
     print(f"wrote {path}")
     _manifest(args, out, args.seed)
@@ -174,8 +176,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
-    out = _ensure_out(args.out)
     diag = stability_diagnostic(model, args.h_grid, args.mc_n, args.seed)
+    out = _ensure_out(args.out)
     path = emit_diagnostic_csv(diag, args.model, args.mc_n, os.path.join(out, "diagnostic.csv"))
     print(f"wrote {path}")
     _manifest(args, out, args.seed)
@@ -184,11 +186,11 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_recover(args) -> int:
     _require(args, "data", "s")
-    out = _ensure_out(args.out)
     table = ingest_csv(args.data, args.y_column)
     if table.n_dropped:
         print(f"dropped {table.n_dropped} rows with missing values", file=sys.stderr)
     report = recover_real(table, args.s, args.H, args.method, args.seed)
+    out = _ensure_out(args.out)
     path = emit_recovery_csv(report, os.path.join(out, "recovery.csv"))
     print(f"wrote {path}")
     _manifest(args, out, args.seed)
@@ -197,7 +199,6 @@ def _cmd_recover(args) -> int:
 
 def _cmd_sdp_solve(args) -> int:
     _require(args, "matrix")
-    out = _ensure_out(args.out)
     a = read_matrix_csv(args.matrix)
     lam = getattr(args, "lambda")
     if lam is None:
@@ -205,6 +206,7 @@ def _cmd_sdp_solve(args) -> int:
             raise InvalidArgumentError("provide --lambda, or --s to derive the penalty")
         lam = default_lambda(a, args.s)
     sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=args.max_iter, tol=args.tol))
+    out = _ensure_out(args.out)
     z_path = emit_matrix_csv(sol.z, os.path.join(out, "z.csv"))
     print(f"wrote {z_path}")
     diagnostics = {

@@ -40,6 +40,11 @@ __all__ = [
 
 MODES = ("raw", "centered", "whitened")
 
+# Design cells (rows x columns) gathered per group when averaging slices:
+# 256 rows at p = 100, never less than one slice.  Sized in cells, not
+# rows, so a one-column design is not averaged in thousands of tiny groups.
+_GATHER_CELLS = 256 * 100
+
 
 def as_matrix(v) -> np.ndarray:
     """Unwrap a SirMatrix, or validate a plain square array."""
@@ -123,6 +128,13 @@ def slice_data(data: Dataset, h: int, seed: int = 0) -> SlicedSample:
     ``seed``, and the remaining rows are cut into h consecutive slices
     of m rows each.
 
+    The slice means are averaged straight from ``data.x`` through the
+    sorted indices, a group of whole slices (about 200 KB of rows) at a
+    time, so no sorted n x p copy of the design is ever built; the extra
+    memory is one group, or one slice when that is larger, plus the h x p
+    means.  Each group is reduced as ``.mean(axis=1)`` reduces the
+    whole, so the means are bit-identical to averaging the sorted copy.
+
     Requires h >= 2 and n >= 2h.
     """
     if not (isinstance(h, (int, np.integer)) and h >= 2):
@@ -139,7 +151,14 @@ def slice_data(data: Dataset, h: int, seed: int = 0) -> SlicedSample:
         keep = np.ones(n, dtype=bool)
         keep[drop_pos] = False
         order = order[keep]
-    means = data.x[order].reshape(h, m, data.p).mean(axis=1)
+    p = data.p
+    group = max(1, _GATHER_CELLS // (m * max(p, 1)))
+    means = np.empty((h, p))
+    for lo in range(0, h, group):
+        hi = min(lo + group, h)
+        # one expression, so each group's rows are freed before the next is gathered
+        np.add.reduce(data.x[order[lo * m : hi * m]].reshape(hi - lo, m, p), axis=1, out=means[lo:hi])
+    means /= m
     return SlicedSample(h=int(h), m=int(m), slice_means=means, dropped=int(dropped), order=order)
 
 
@@ -204,7 +223,7 @@ def sir_matrix_whitened(
         )
     xc = data.x - data.x.mean(axis=0)
     sigma = _mirror_upper(xc.T @ xc / n)
-    del xc  # so slicing's sorted copy of x never sits beside this one
+    del xc  # free the centred n x p copy before slicing
     w = inv_sqrt_sym(sigma, eig_floor)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v
     v = _mirror_upper(w @ centered @ w)

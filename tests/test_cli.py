@@ -375,6 +375,29 @@ class TestErrorHandling:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
+             "--workers", "0"],
+            ["recover", "--data", "nope.csv", "--s", "1"],
+            ["recover", "--data", "data.csv", "--s", "9"],
+            ["sdp-solve", "--matrix", "nope.csv", "--lambda", "0.1"],
+            ["sdp-solve", "--matrix", "a.csv"],
+            ["diagnose", "--h-grid", "1", "--mc-n", "2000"],
+            ["simulate", "--p", "3", "--s", "5", "--n", "10"],
+        ],
+        ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
+             "sdp-solve-no-lambda", "diagnose-h", "simulate-s"],
+    )
+    def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        _matrix_and_data(tmp_path)
+        rc = main([*argv, "--out", "run"])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_flag_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["curve", "--nope"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,18 @@ class TestSliceData:
         assert a.dropped == 1
         assert a.order.size == 6
         np.testing.assert_array_equal(a.order, b.order)
+
+    def test_memory_peak_is_a_fraction_of_the_design(self):
+        # averaging through the sorted indices builds no sorted n x p copy
+        rng = np.random.default_rng(0)
+        data = Dataset(x=rng.standard_normal((5000, 1000)), y=rng.standard_normal(5000))
+        tracemalloc.start()
+        try:
+            slice_data(data, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.x.nbytes / 4
 
     def test_preconditions(self):
         with pytest.raises(InvalidArgumentError):
