@@ -5,7 +5,7 @@ matrix Z maximizing <V, Z> - lambda * |Z|_1.  The penalty pushes mass
 off the non-support rows, so the principal eigenvector of the solution
 carries the signed support even when individual diagonal entries are
 noisy.  Every solve carries a duality gap that bounds how far its
-objective can be from the true optimum.
+objective can be from the true optimum, and the solver stops on that gap.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import numpy as np
 from sirsupport import (
     ModelSpec,
     SdpConfig,
-    check_rank1_certificate,
     default_lambda,
     generate_beta,
     sample_sim,
@@ -38,7 +37,9 @@ print(f"penalty level lambda = {lam:.4f}")
 # Solve by operator splitting: a spectraplex projection alternates with
 # soft thresholding.  The scaled dual of the splitting is a matrix U with
 # entries in [-1, 1], and lambda_max(V - lambda U) is an upper bound on
-# the optimum, so the gap below certifies the returned objective.
+# the optimum, so the gap below certifies the returned objective.  The
+# solver stops once that gap is at most tol * max(1, ||V||), and
+# "converged" means exactly that.
 # ---------------------------------------------------------------------------
 sol = sdp_solve(v, SdpConfig(lam=lam))
 print(
@@ -56,19 +57,19 @@ print("\nestimated signed support:", np.flatnonzero(est.signs),
 print("true signed support:     ", list(beta.support), beta.signs()[list(beta.support)])
 
 # ---------------------------------------------------------------------------
-# Rank-one certificate.  For a synthetic matrix whose optimum is known to
-# be a dense rank-one spike, the dual construction proves global
-# optimality of the returned solution.
+# The certificate does not need a rank-one optimum.  On a diagonal matrix
+# the solution concentrates on one coordinate; on the identity it spreads
+# over all of them (every diagonal Z is optimal there).  Either way the gap proves the objective, and a solve
+# cut short by max_iter reports converged=False with the gap that shows
+# how far it may still be from the optimum.
 # ---------------------------------------------------------------------------
-spike = np.array([0.8, 0.6])
-a = np.outer(spike, spike)
-sol = sdp_solve(a, SdpConfig(lam=0.05, tol=1e-11, max_iter=200_000))
-print("\ncertificate on a clean rank-one instance:",
-      check_rank1_certificate(a, 0.05, sol, tol=1e-4))
+for name, a, lam_a in [
+    ("diagonal", np.diag([3.0, 1.0, 0.5]), 0.2),
+    ("identity", np.eye(3), 0.1),
+]:
+    sol_a = sdp_solve(a, SdpConfig(lam=lam_a))
+    print(f"\n{name}: objective {sol_a.objective:.6f}, rank1_gap {sol_a.rank1_gap:.2e}, "
+          f"gap {sol_a.duality_gap:.2e}, iters {sol_a.iterations}, converged {sol_a.converged}")
 
-# The certificate is a sufficient condition: on matrices with large
-# entries off the recovered block it simply declines to certify.
-b = np.diag([3.0, 1.0, 0.5])
-sol_b = sdp_solve(b, SdpConfig(lam=0.2, tol=1e-11, max_iter=200_000))
-print("certificate when off-block entries exceed lambda:",
-      check_rank1_certificate(b, 0.2, sol_b, tol=1e-4))
+capped = sdp_solve(v, SdpConfig(lam=lam, max_iter=3))
+print(f"\ncapped at 3 iterations: gap {capped.duality_gap:.2e}, converged {capped.converged}")

@@ -11,7 +11,6 @@ sample grows.
 
 from .version import __version__
 from .errors import (
-    CertificateUndefinedError,
     IngestError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
@@ -42,7 +41,6 @@ from .dt import SignedSupport, dt_select, dt_sir, signed_support_match
 from .sdp import (
     SdpConfig,
     SdpSolution,
-    check_rank1_certificate,
     default_lambda,
     project_spectraplex,
     sdp_sign_recover,
@@ -81,7 +79,6 @@ __all__ = [
     "NumericalError",
     "NotPositiveDefiniteError",
     "RankDeficientError",
-    "CertificateUndefinedError",
     # models
     "LINK_NAMES",
     "BETA_SCHEMES",
@@ -110,7 +107,6 @@ __all__ = [
     "project_spectraplex",
     "sdp_solve",
     "sdp_sign_recover",
-    "check_rank1_certificate",
     "default_lambda",
     # experiments
     "METHODS",

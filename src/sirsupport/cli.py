@@ -213,7 +213,6 @@ def _cmd_sdp_solve(args) -> int:
         "objective": sol.objective,
         "iterations": sol.iterations,
         "converged": sol.converged,
-        "residual": sol.residual,
         "rank1_gap": sol.rank1_gap,
         "duality_gap": sol.duality_gap,
         "lambda": lam,
@@ -282,7 +281,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
     sp.add_argument("--matrix", help="CSV path of a square symmetric matrix")
     sp.add_argument("--lambda", type=float, help="penalty level")
     sp.add_argument("--s", type=int, help="sparsity used to derive the penalty when --lambda is absent")
-    sp.add_argument("--tol", type=float, default=1e-7, help="convergence tolerance")
+    sp.add_argument("--tol", type=float, default=1e-7, help="relative duality-gap tolerance")
     sp.add_argument("--max-iter", type=int, default=20000, help="iteration cap")
     return parser, sub.choices
 

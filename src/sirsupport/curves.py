@@ -108,8 +108,10 @@ class CurveConfig:
             raise InvalidArgumentError(f"reps must be a positive integer, got {self.reps}")
         if self.estimator_mode not in ("raw", "centered", "whitened"):
             raise InvalidArgumentError(f"unknown estimator_mode {self.estimator_mode!r}")
-        if self.sdp_lambda is not None and not (self.sdp_lambda >= 0):
-            raise InvalidArgumentError("sdp_lambda must be nonnegative or None")
+        if self.sdp_lambda is not None and not (0 <= self.sdp_lambda < math.inf):
+            raise InvalidArgumentError(
+                f"sdp_lambda must be a finite nonnegative real or None, got {self.sdp_lambda}"
+            )
         object.__setattr__(self, "gamma_grid", grid)
 
     @property

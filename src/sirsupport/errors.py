@@ -36,6 +36,3 @@ class NotPositiveDefiniteError(NumericalError):
 class RankDeficientError(NumericalError):
     """The sample covariance cannot be inverted (typically n <= p)."""
 
-
-class CertificateUndefinedError(SirSupportError):
-    """Rank-one optimality certificate requested for a solution that is not rank one."""

@@ -3,17 +3,20 @@
 The relaxation maximizes tr(A Z) - lambda * sum_ij |Z_ij| over the
 spectraplex {Z psd, tr Z = 1}.  It is solved by operator splitting
 (scaled-dual ADMM) that alternates the spectraplex projection with
-elementwise soft-thresholding at level lambda * step.  The returned
-iterate is always feasible, even when the solver stops without
-converging.
+elementwise soft-thresholding at level lambda * step, step = 1 / ||A||.
+The returned iterate is always feasible, even when the solver stops
+without converging.
 
-Every solve carries a weak-duality certificate.  The scaled dual
+Optimality has one meaning: a weak-duality certificate.  The scaled dual
 U = u / (lambda * step) of the splitting lies in the box [-1, 1], and
 for any such symmetric U and any feasible Z, sum_ij |Z_ij| >= tr(U Z),
 so lambda_max(A - lambda * U) bounds the optimal value from above (the
-dual of d'Aspremont et al. 2007).  ``SdpSolution.duality_gap`` is that
-bound minus the objective of the returned iterate: a proof of how far
-the iterate can be from the optimum.
+dual of d'Aspremont et al. 2007).  That bound minus the objective of the
+iterate is the duality gap, a proof of how far the iterate can be from
+the optimum.  The solver computes it every few iterations and stops once
+it is at most tol * max(1, ||A||), a primal-dual stopping rule in the
+sense of Boyd et al. 2011, section 3.3; a solve is ``converged`` exactly
+when the gap it returns meets that bound.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateUndefinedError, InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError
 from .dt import SignedSupport, _oriented_principal_eigenvector
 from .sir import _mirror_upper, as_matrix
 
@@ -33,7 +36,6 @@ __all__ = [
     "project_spectraplex",
     "sdp_solve",
     "sdp_sign_recover",
-    "check_rank1_certificate",
     "default_lambda",
 ]
 
@@ -42,44 +44,44 @@ __all__ = [
 class SdpConfig:
     """Solver settings.
 
-    ``lam`` is the l1 penalty level.  ``step`` defaults to
-    1 / (spectral norm of A) when None.
+    ``lam`` is the l1 penalty level.  ``tol`` is the relative duality-gap
+    tolerance: a solve stops, certified, once its duality gap is at most
+    tol * max(1, spectral norm of A), or uncertified after ``max_iter``
+    iterations.
     """
 
     lam: float
     max_iter: int = 20000
     tol: float = 1e-7
-    step: float | None = None
 
     def __post_init__(self):
         if not (self.lam >= 0.0 and math.isfinite(self.lam)):
             raise InvalidArgumentError(f"lam must be a finite nonnegative real, got {self.lam}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InvalidArgumentError(f"max_iter must be a positive integer, got {self.max_iter}")
-        if not (self.tol > 0.0):
-            raise InvalidArgumentError(f"tol must be positive, got {self.tol}")
-        if self.step is not None and not (self.step > 0.0):
-            raise InvalidArgumentError(f"step must be positive or None, got {self.step}")
+        if not (0.0 < self.tol < math.inf):
+            raise InvalidArgumentError(f"tol must be a finite positive real, got {self.tol}")
 
 
 @dataclass(frozen=True)
 class SdpSolution:
-    """A feasible point of the spectraplex with solver diagnostics.
-
-    ``rank1_gap`` is 1 - (largest eigenvalue of z): zero for an exactly
-    rank-one solution, close to one for a maximally spread one.
+    """A feasible point of the spectraplex with its optimality certificate.
 
     ``dual`` is a symmetric matrix with entries in [-1, 1], and
     ``duality_gap`` = lambda_max(A - lam * dual) - objective.  Weak
     duality makes the first term an upper bound on the optimal value, so
-    the objective is within ``duality_gap`` of the optimum.
+    the objective is within ``duality_gap`` of the optimum.  ``converged``
+    is True exactly when ``duality_gap`` <= tol * max(1, ||A||); these
+    are the dual and gap the solver stopped on.
+
+    ``rank1_gap`` is 1 - (largest eigenvalue of z): zero for an exactly
+    rank-one solution, close to one for a maximally spread one.
     """
 
     z: np.ndarray
     objective: float
     iterations: int
     converged: bool
-    residual: float
     rank1_gap: float
     dual: np.ndarray
     duality_gap: float
@@ -157,13 +159,17 @@ def _objective(a: np.ndarray, lam: float, z: np.ndarray) -> float:
     return float(np.vdot(a, z) - lam * np.abs(z).sum())
 
 
+# iterations between duality-gap checks, each one eigvalsh of a p x p matrix
+_GAP_EVERY = 10
+
+
 def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
     """Maximize tr(A Z) - lam * sum|Z_ij| over the spectraplex.
 
     ``a`` may be a SirMatrix or a plain symmetric array.  The returned
-    iterate is always feasible; ``converged`` reports whether the
-    solver met its tolerance within ``max_iter`` iterations, and
-    ``duality_gap`` bounds its distance to the optimum.  A matrix with a
+    iterate is always feasible, and ``duality_gap`` bounds its distance
+    to the optimum; ``converged`` reports whether that gap met the
+    tolerance within ``max_iter`` iterations.  A matrix with a
     NaN or infinite entry raises ``NumericalError``.
     """
     mat = as_matrix(a)
@@ -178,43 +184,34 @@ def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
 def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     lam = cfg.lam
     norm = _spectral_norm(a)
-    step = cfg.step if cfg.step is not None else (1.0 / norm if norm > 0 else 1.0)
+    step = 1.0 / norm if norm > 0 else 1.0
     thr = lam * step
+    target = cfg.tol * max(1.0, norm)
     # the iterates stay exactly symmetric, so each projection skips the
     # public symmetry check and only mirrors, as that check would
     z = _project_symmetric(_mirror_upper(step * a))
     w = z.copy()
     u = np.zeros_like(z)
-    residual = math.inf
-    converged = False
-    it = 0
     for it in range(1, cfg.max_iter + 1):
-        z_prev = z
         z = _project_symmetric(_mirror_upper(w - u + step * a))
         w = _soft(z + u, thr)
         u = u + z - w
-        residual = max(
-            float(np.abs(z - z_prev).max()),
-            float(np.abs(z - w).max()),
-        )
-        if residual < cfg.tol:
-            converged = True
-            break
-    z = _mirror_upper(z)
-    objective = _objective(a, lam, z)
-    # u = clip(z + u, -thr, thr) after every update, so the scaled dual
-    # sits in [-1, 1]; the clip only removes rounding
-    dual = np.clip(u / thr, -1.0, 1.0) if thr > 0 else np.zeros_like(z)
-    bound = float(np.linalg.eigvalsh(a - lam * dual)[-1])
+        if it % _GAP_EVERY == 0 or it == cfg.max_iter:
+            objective = _objective(a, lam, z)
+            # u = clip(z + u, -thr, thr) after every update, so the scaled
+            # dual sits in [-1, 1]; the clip only removes rounding
+            dual = np.clip(u / thr, -1.0, 1.0) if thr > 0 else np.zeros_like(z)
+            gap = float(np.linalg.eigvalsh(a - lam * dual)[-1]) - objective
+            if gap <= target:
+                break
     return SdpSolution(
         z=z,
         objective=objective,
         iterations=it,
-        converged=converged,
-        residual=float(residual),
+        converged=gap <= target,
         rank1_gap=min(max(1.0 - float(np.linalg.eigvalsh(z)[-1]), 0.0), 1.0),
         dual=dual,
-        duality_gap=bound - objective,
+        duality_gap=gap,
     )
 
 
@@ -232,48 +229,6 @@ def sdp_sign_recover(sol: SdpSolution, s: int) -> SignedSupport:
     thr = 1.0 / (2.0 * math.sqrt(s))
     signs = np.where(np.abs(vec) < thr, 0, np.sign(vec)).astype(np.int8)
     return SignedSupport(signs=signs)
-
-
-def check_rank1_certificate(a, lam: float, sol: SdpSolution, tol: float) -> bool:
-    """Verify global optimality of a (numerically) rank-one solution.
-
-    Builds the dual sign matrix U: sign(z_i) * sign(z_j) on the block
-    where the principal eigenvector is nonzero, clamp(A_ij / lam, -1, 1)
-    elsewhere.  Returns True iff every off-block entry satisfied
-    |A_ij| <= lam * (1 + tol) before clamping and the eigenvector lies
-    within angle tol (radians) of the top eigenspace of A - lam * U.
-
-    Raises ``CertificateUndefinedError`` when sol.rank1_gap >= tol, since
-    the certificate is only defined for rank-one solutions.
-    """
-    mat = _require_symmetric(as_matrix(a))
-    if not isinstance(sol, SdpSolution):
-        raise InvalidArgumentError("sol must be an SdpSolution")
-    if not (lam >= 0.0 and math.isfinite(lam)):
-        raise InvalidArgumentError(f"lam must be a finite nonnegative real, got {lam}")
-    if not (0.0 < tol < 1.0):
-        raise InvalidArgumentError(f"tol must be in (0, 1), got {tol}")
-    if not (sol.rank1_gap < tol):
-        raise CertificateUndefinedError(
-            f"certificate is undefined: rank1_gap={sol.rank1_gap:.3e} is not below tol={tol:.3e}"
-        )
-    zhat = _oriented_principal_eigenvector(sol.z)
-    nz = np.abs(zhat) > tol * float(np.abs(zhat).max())
-    sgn = np.where(nz, np.sign(zhat), 0.0)
-    u = np.outer(sgn, sgn)
-    off = ~np.outer(nz, nz)
-    if np.any(np.abs(mat[off]) > lam * (1.0 + tol)):
-        return False
-    if lam > 0:
-        u[off] = np.clip(mat[off] / lam, -1.0, 1.0)
-    g = mat - lam * _mirror_upper(u)
-    w_g, q_g = np.linalg.eigh(g)
-    # angle to the top eigenspace, so a degenerate top eigenvalue does not
-    # spuriously fail the check
-    near_top = w_g >= w_g[-1] - tol * max(1.0, abs(float(w_g[-1])))
-    cos = float(np.linalg.norm(q_g[:, near_top].T @ zhat))
-    angle = math.acos(min(1.0, cos))
-    return bool(angle <= tol)
 
 
 def default_lambda(a, s: int) -> float:

@@ -386,9 +386,12 @@ class TestErrorHandling:
             ["sdp-solve", "--matrix", "a.csv"],
             ["diagnose", "--h-grid", "1", "--mc-n", "2000"],
             ["simulate", "--p", "3", "--s", "5", "--n", "10"],
+            ["sdp-solve", "--matrix", "a.csv", "--lambda", "0.1", "--tol", "inf"],
+            ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
+             "--lambda", "inf"],
         ],
         ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
-             "sdp-solve-no-lambda", "diagnose-h", "simulate-s"],
+             "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda"],
     )
     def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

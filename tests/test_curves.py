@@ -86,6 +86,8 @@ class TestCurveConfig:
             {"sdp_lambda": -0.5},
             {"gamma_grid": (float("nan"),)},
             {"gamma_grid": (1.0, float("inf"))},
+            {"sdp_lambda": float("inf")},
+            {"sdp_lambda": float("nan")},
         ],
     )
     def test_rejects_bad_settings(self, overrides):
