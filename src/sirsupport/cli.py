@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ import numpy as np
 from .curves import SPARSITY_RULES, CurveConfig, run_curve, stability_diagnostic
 from .dataio import (
     RunManifest,
+    _write_json,
     emit_curve_csv,
     emit_dataset_csv,
     emit_diagnostic_csv,
@@ -113,45 +113,43 @@ def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> 
     return defaults
 
 
-def _ensure_out(out: str) -> str:
-    # called once a command's input is checked and its result computed,
-    # so a rejected run leaves no output folder behind
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_outputs(args, seed: int | None, artifacts) -> None:
+    """Create ``--out``, write each artifact in order, then the manifest.
 
-
-def _manifest(args, out: str, seed: int | None) -> None:
+    Each ``_cmd_*`` function only computes: it returns the manifest seed
+    and its artifacts, (file name, writer of a path) pairs, and ``main``
+    calls this after it returns, so a rejected run leaves no output
+    folder behind.
+    """
+    os.makedirs(args.out, exist_ok=True)
+    for name, write in artifacts:
+        print(f"wrote {write(os.path.join(args.out, name))}")
     manifest = RunManifest(
         command=args.command,
         config_path=args.config,
-        output_dir=out,
+        output_dir=args.out,
         seed=seed,
         version=__version__,
     )
-    # sdp-solve accepts --seed but draws nothing random, so it records no seed
+    # a seed of None (sdp-solve) keeps --seed out of the manifest
     skip = {"command", "func", "config"} | ({"seed"} if seed is None else set())
     effective = {
         k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip
     }
-    path = write_manifest(manifest, effective, os.path.join(out, "manifest.json"))
-    print(f"wrote {path}")
+    print(f"wrote {write_manifest(manifest, effective, os.path.join(args.out, 'manifest.json'))}")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     _require(args, "p", "s", "n")
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
     # independent child seeds for the direction and the sample
     beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64))
     beta = generate_beta(args.p, args.s, args.beta_scheme, beta_seed)
     data = sample_sim(model, beta, args.n, data_seed)
-    out = _ensure_out(args.out)
-    path = emit_dataset_csv(data, os.path.join(out, "dataset.csv"))
-    print(f"wrote {path}")
-    _manifest(args, out, args.seed)
-    return 0
+    return args.seed, [("dataset.csv", lambda path: emit_dataset_csv(data, path))]
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args):
     _require(args, "p", "gamma_grid")
     cfg = CurveConfig(
         model=ModelSpec(link=args.model, noise_sd=args.noise_sd),
@@ -167,37 +165,27 @@ def _cmd_curve(args) -> int:
         sdp_lambda=getattr(args, "lambda"),
     )
     curve = run_curve(cfg, workers=args.workers)
-    out = _ensure_out(args.out)
-    path = emit_curve_csv(curve, os.path.join(out, "curve.csv"))
-    print(f"wrote {path}")
-    _manifest(args, out, args.seed)
-    return 0
+    return args.seed, [("curve.csv", lambda path: emit_curve_csv(curve, path))]
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args):
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
     diag = stability_diagnostic(model, args.h_grid, args.mc_n, args.seed)
-    out = _ensure_out(args.out)
-    path = emit_diagnostic_csv(diag, args.model, args.mc_n, os.path.join(out, "diagnostic.csv"))
-    print(f"wrote {path}")
-    _manifest(args, out, args.seed)
-    return 0
+    return args.seed, [
+        ("diagnostic.csv", lambda path: emit_diagnostic_csv(diag, args.model, args.mc_n, path))
+    ]
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args):
     _require(args, "data", "s")
     table = ingest_csv(args.data, args.y_column)
     if table.n_dropped:
         print(f"dropped {table.n_dropped} rows with missing values", file=sys.stderr)
     report = recover_real(table, args.s, args.H, args.method, args.seed)
-    out = _ensure_out(args.out)
-    path = emit_recovery_csv(report, os.path.join(out, "recovery.csv"))
-    print(f"wrote {path}")
-    _manifest(args, out, args.seed)
-    return 0
+    return args.seed, [("recovery.csv", lambda path: emit_recovery_csv(report, path))]
 
 
-def _cmd_sdp_solve(args) -> int:
+def _cmd_sdp_solve(args):
     _require(args, "matrix")
     a = read_matrix_csv(args.matrix)
     lam = getattr(args, "lambda")
@@ -206,9 +194,6 @@ def _cmd_sdp_solve(args) -> int:
             raise InvalidArgumentError("provide --lambda, or --s to derive the penalty")
         lam = default_lambda(a, args.s)
     sol = sdp_solve(a, SdpConfig(lam=lam, max_iter=args.max_iter, tol=args.tol))
-    out = _ensure_out(args.out)
-    z_path = emit_matrix_csv(sol.z, os.path.join(out, "z.csv"))
-    print(f"wrote {z_path}")
     diagnostics = {
         "objective": sol.objective,
         "iterations": sol.iterations,
@@ -217,13 +202,11 @@ def _cmd_sdp_solve(args) -> int:
         "duality_gap": sol.duality_gap,
         "lambda": lam,
     }
-    diag_path = os.path.join(out, "diagnostics.json")
-    with open(diag_path, "w", newline="\n") as fh:
-        json.dump(diagnostics, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {diag_path}")
-    _manifest(args, out, None)
-    return 0
+    # sdp-solve accepts --seed but draws nothing random, so it records no seed
+    return None, [
+        ("z.csv", lambda path: emit_matrix_csv(sol.z, path)),
+        ("diagnostics.json", lambda path: _write_json(diagnostics, path)),
+    ]
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
@@ -295,11 +278,9 @@ def main(argv=None) -> int:
             command = commands[args.command]
             command.set_defaults(**_ini_defaults(args.config, command, args.command))
             args = parser.parse_args(argv)
-        return args.func(args)
-    except (InvalidArgumentError, IngestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, configparser.Error) as exc:
+        _write_outputs(args, *args.func(args))
+        return 0
+    except (InvalidArgumentError, IngestError, FileNotFoundError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -20,9 +20,9 @@ import numpy as np
 
 from .dt import SignedSupport, dt_sir, signed_support_match
 from .errors import InvalidArgumentError, NumericalError
-from .models import BETA_SCHEMES, Dataset, ModelSpec, generate_beta, sample_sim
+from .models import BETA_SCHEMES, Dataset, ModelSpec, _index_pairs, generate_beta, sample_sim
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
-from .sir import sir_matrix, sir_matrix_whitened, slice_data
+from .sir import MODES, sir_matrix, sir_matrix_whitened, slice_data
 
 __all__ = [
     "METHODS",
@@ -106,7 +106,7 @@ class CurveConfig:
             raise InvalidArgumentError(f"h must be an integer >= 2, got {self.h}")
         if not (isinstance(self.reps, (int, np.integer)) and self.reps >= 1):
             raise InvalidArgumentError(f"reps must be a positive integer, got {self.reps}")
-        if self.estimator_mode not in ("raw", "centered", "whitened"):
+        if self.estimator_mode not in MODES:
             raise InvalidArgumentError(f"unknown estimator_mode {self.estimator_mode!r}")
         if self.sdp_lambda is not None and not (0 <= self.sdp_lambda < math.inf):
             raise InvalidArgumentError(
@@ -166,9 +166,8 @@ def _replicate_seeds(master_seed: int, point_index: int, rep: int) -> tuple[int,
     return int(state[0]), int(state[1]), int(state[2])
 
 
-def _run_replicate(task: tuple[CurveConfig, int, int, int]) -> bool:
+def _run_replicate(cfg: CurveConfig, point_index: int, rep: int, n: int) -> bool:
     """One seeded replicate; True on exact signed-support recovery."""
-    cfg, point_index, rep, n = task
     beta_seed, data_seed, slice_seed = _replicate_seeds(cfg.master_seed, point_index, rep)
     s = cfg.s
     beta = generate_beta(cfg.p, s, cfg.beta_scheme, beta_seed)
@@ -197,7 +196,7 @@ def _run_block(
     count per block rather than one outcome per replicate.
     """
     start = time.perf_counter()
-    successes = int(sum(_run_replicate((cfg, point_index, rep, n)) for rep in range(lo, hi)))
+    successes = int(sum(_run_replicate(cfg, point_index, rep, n) for rep in range(lo, hi)))
     return point_index, successes, time.perf_counter() - start
 
 
@@ -302,10 +301,7 @@ def stability_diagnostic(
         raise InvalidArgumentError(
             f"mc_n={mc_n} is too small: need mc_n >= 1000 * max(h_grid) = {1000 * max(h_grid)}"
         )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(int(mc_n))
-    eps = model.noise_sd * rng.standard_normal(int(mc_n))
-    y = model.response(z, eps)
+    z, y = _index_pairs(model, mc_n, seed)
     variances = []
     boundaries = []
     for h in h_grid:

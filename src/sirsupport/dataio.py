@@ -27,7 +27,7 @@ import numpy as np
 
 from .curves import EfficiencyCurve, StabilityDiagnostic
 from .dt import _oriented_principal_eigenvector, dt_sir
-from .errors import IngestError, InvalidArgumentError, NumericalError, RankDeficientError
+from .errors import IngestError, InvalidArgumentError, NumericalError
 from .models import Dataset
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
 from .sir import sir_matrix_whitened
@@ -284,19 +284,15 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
 
     Scores are the diagonal entries of the whitened matrix for "dt" and
     the principal-eigenvector magnitudes of the penalized solution for
-    "sdp".  Exactly min(s, p) variables are marked selected; signs come
-    from the corresponding signed-support extraction.
+    "sdp".  Exactly s variables are marked selected; signs come from the
+    corresponding signed-support extraction.  The whitened fit needs
+    n > p and raises ``RankDeficientError`` otherwise.
     """
     if method not in RECOVER_METHODS:
         raise InvalidArgumentError(f"method must be one of {RECOVER_METHODS}, got {method!r}")
     p = table.p
     if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
-    if table.n <= p:
-        raise RankDeficientError(
-            f"n={table.n} <= p={p}: the whitened fit needs n > p; "
-            "whiten or reduce the design externally and retry"
-        )
     data = Dataset(x=table.x, y=table.y, seed_provenance={"source": "ingested"})
     v = sir_matrix_whitened(data, h, seed)
     if method == "dt":
@@ -307,7 +303,6 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
         scores = np.abs(_oriented_principal_eigenvector(sol.z))
         signs = sdp_sign_recover(sol, int(s)).signs
     order = np.argsort(-scores, kind="stable")  # ties broken toward earlier columns
-    n_selected = min(int(s), p)
     rows = []
     for rank_minus_one, j in enumerate(order):
         rows.append(
@@ -315,7 +310,7 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
                 variable=table.columns[j],
                 score=float(scores[j]),
                 rank=rank_minus_one + 1,
-                selected=rank_minus_one < n_selected,
+                selected=rank_minus_one < s,
                 sign=int(signs[j]),
             )
         )
@@ -403,13 +398,18 @@ def emit_matrix_csv(m: np.ndarray, path) -> str:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless square numeric matrix.
 
-    A non-numeric cell (``2#c`` included) raises ``IngestError``; a NaN
-    or infinite entry raises ``NumericalError``.
+    A non-numeric cell (``2#c`` included) or a file without a number
+    (empty, or blank lines only, as a 0 x 0 matrix is written) raises
+    ``IngestError``; a NaN or infinite entry raises ``NumericalError``.
     """
     try:
-        m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data is rejected below
+            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
+    if m.size == 0:
+        raise IngestError(f"{path}: file holds no matrix")
     if m.shape[0] != m.shape[1]:
         raise IngestError(f"{path}: matrix must be square, got shape {m.shape}")
     bad = np.argwhere(~np.isfinite(m))
@@ -432,10 +432,10 @@ class RunManifest:
     version: str = __version__
 
 
+def _write_json(payload: dict, path) -> str:
+    """Write ``payload`` as indented JSON with sorted keys: every JSON artifact's write path."""
+    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
 def write_manifest(manifest: RunManifest, effective_config: dict, path) -> str:
-    payload = dict(asdict(manifest))
-    payload["config"] = effective_config
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return str(path)
+    return _write_json({**asdict(manifest), "config": effective_config}, path)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError
-from .sir import as_matrix
+from .errors import InvalidArgumentError
+from .sir import _eigh, as_matrix
 
 __all__ = ["SignedSupport", "dt_select", "dt_sir", "signed_support_match"]
 
@@ -62,10 +62,7 @@ def dt_select(v, s: int) -> np.ndarray:
 
 def _oriented_principal_eigenvector(m: np.ndarray) -> np.ndarray:
     """Unit eigenvector of the largest eigenvalue, largest-|entry| made positive."""
-    try:
-        _, q = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    _, q = _eigh(m)
     vec = q[:, -1]
     lead = int(np.argmax(np.abs(vec)))
     if vec[lead] < 0:

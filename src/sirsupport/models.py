@@ -222,6 +222,13 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
     return Dataset(x=x, y=y, seed_provenance=_provenance(seed, f"gaussian-design/{model.link}"))
 
 
+def _index_pairs(model: ModelSpec, mc_n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """mc_n scalar pairs (Z, f(Z, eps)), Z and eps drawn in that order from one stream."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(int(mc_n))
+    return z, model.response(z, model.noise_sd * rng.standard_normal(int(mc_n)))
+
+
 def estimate_cv(
     model: ModelSpec,
     mc_n: int = 1_000_000,
@@ -245,10 +252,7 @@ def estimate_cv(
         raise InvalidArgumentError(
             f"mc_n={mc_n} is too small: need mc_n >= 100 * oracle_slices = {100 * oracle_slices}"
         )
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(int(mc_n))
-    eps = model.noise_sd * rng.standard_normal(int(mc_n))
-    y = model.response(z, eps)
+    z, y = _index_pairs(model, mc_n, seed)
     from .sir import slice_data  # sir imports this module
 
     h = int(oracle_slices)

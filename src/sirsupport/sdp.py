@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
 from .dt import SignedSupport, _oriented_principal_eigenvector
-from .sir import _mirror_upper, as_matrix
+from .sir import _eigh, _mirror_upper, _require_symmetric, as_matrix
 
 __all__ = [
     "SdpConfig",
@@ -126,24 +126,14 @@ def project_spectraplex(m) -> np.ndarray:
     Eigendecomposes the (symmetric) input, projects the eigenvalues onto
     the probability simplex, and reassembles.
     """
-    return _project_symmetric(_require_symmetric(as_matrix(m)))
+    return _project_symmetric(_require_symmetric(as_matrix(m), "matrix"))
 
 
 def _project_symmetric(a: np.ndarray) -> np.ndarray:
     """``project_spectraplex`` for an exactly symmetric array, unchecked."""
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    w, q = _eigh(a)
     mu = _project_simplex(w)
     return _mirror_upper((q * mu) @ q.T)
-
-
-def _require_symmetric(a: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
-        raise InvalidArgumentError("matrix must be symmetric")
-    return _mirror_upper(a)
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -175,7 +165,7 @@ def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
     mat = as_matrix(a)
     if not np.isfinite(mat).all():
         raise NumericalError("matrix has non-finite entries (NaN or infinity)")
-    mat = _require_symmetric(mat)
+    mat = _require_symmetric(mat, "matrix")
     if not isinstance(cfg, SdpConfig):
         raise InvalidArgumentError("cfg must be an SdpConfig")
     return _solve_splitting(mat, cfg)

@@ -76,8 +76,24 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
 def _eigh(m: np.ndarray):
     try:
         return np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK breakdown
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
+def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
+    """Exact mirror of a nonempty square array that is symmetric up to rounding.
+
+    Rounding means max|a - a'| <= 1e-10 * max(1, max|a|); ``name`` is
+    the argument the messages blame.
+    """
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidArgumentError(f"{name} must be a square matrix")
+    if a.size == 0:
+        raise InvalidArgumentError(f"{name} must be nonempty")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > 1e-10 * scale:
+        raise InvalidArgumentError(f"{name} must be symmetric")
+    return _mirror_upper(a)
 
 
 @dataclass(frozen=True)
@@ -188,15 +204,10 @@ def inv_sqrt_sym(sigma: np.ndarray, eig_floor: float | None = None) -> np.ndarra
     eigenvalue below the floor raises ``NotPositiveDefiniteError`` naming
     the offending eigenvalue.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise InvalidArgumentError("sigma must be a square matrix")
-    scale = max(1.0, float(np.abs(sigma).max()))
-    if float(np.abs(sigma - sigma.T).max()) > 1e-10 * scale:
-        raise InvalidArgumentError("sigma must be symmetric")
+    sigma = _require_symmetric(np.asarray(sigma, dtype=float), "sigma")
     if eig_floor is not None and not (eig_floor > 0):
         raise InvalidArgumentError(f"eig_floor must be positive, got {eig_floor}")
-    w, q = _eigh(_mirror_upper(sigma))
+    w, q = _eigh(sigma)
     floor = float(eig_floor) if eig_floor is not None else 1e-10 * float(w[-1])
     if w[0] < floor or floor <= 0:
         raise NotPositiveDefiniteError(eigenvalue=float(w[0]), floor=floor)

@@ -172,6 +172,17 @@ class TestSdpSolve:
         assert rc == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n"], ids=["empty", "blank-line"])
+    def test_matrix_file_without_data_exits_one(self, tmp_path, capsys, text):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        rc = main(["sdp-solve", "--matrix", str(path), "--lambda", "0.1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert f"{path}: file holds no matrix" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_hash_in_a_cell_exits_one(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
         path.write_text("1,2#junk\n3,4\n")
@@ -256,6 +267,7 @@ def _matrix_and_data(tmp_path):
     rows = "".join(",".join(repr(float(v)) for v in (y[i], *x[i])) + "\n" for i in range(40))
     (tmp_path / "data.csv").write_text("y,a,b,c\n" + rows)
     emit_matrix_csv(np.diag([2.0, 1.0]), tmp_path / "a.csv")
+    emit_matrix_csv(np.zeros((0, 0)), tmp_path / "empty.csv")
 
 
 # Each command's flags and the manifest ``config`` they gave before the
@@ -389,9 +401,11 @@ class TestErrorHandling:
             ["sdp-solve", "--matrix", "a.csv", "--lambda", "0.1", "--tol", "inf"],
             ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
              "--lambda", "inf"],
+            ["sdp-solve", "--matrix", "empty.csv", "--lambda", "0.1"],
         ],
         ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
-             "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda"],
+             "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda",
+             "sdp-solve-empty"],
     )
     def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -399,6 +413,28 @@ class TestErrorHandling:
         rc = main([*argv, "--out", "run"])
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        ("name", "text", "argv"),
+        [
+            ("fat.csv", "y,a,b,c,d\n1,2,3,4,5\n6,7,8,9,10\n3,1,4,1,5\n",
+             ["recover", "--data", "fat.csv", "--s", "1"]),
+            ("flat.csv", "y,a,b\n" + "".join(f"{i % 5},{i * i % 7},1\n" for i in range(12)),
+             ["recover", "--data", "flat.csv", "--s", "1", "--H", "2"]),
+            ("nan.csv", "1,nan\nnan,1\n", ["sdp-solve", "--matrix", "nan.csv", "--lambda", "0.1"]),
+        ],
+        ids=["recover-fat", "recover-constant-column", "sdp-solve-nan"],
+    )
+    def test_numerical_failure_leaves_no_output_folder(
+        self, tmp_path, monkeypatch, capsys, name, text, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        rc = main([*argv, "--out", "run"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     def test_unknown_flag_exits_one(self):

@@ -226,7 +226,7 @@ class TestScheduler:
         n = gamma_to_n(6.0, cfg.s, cfg.p)
         point, successes, seconds = curves._run_block(cfg, 1, 2, 8, n)
         assert point == 1 and seconds >= 0.0
-        assert successes == sum(curves._run_replicate((cfg, 1, r, n)) for r in range(2, 8))
+        assert successes == sum(curves._run_replicate(cfg, 1, r, n) for r in range(2, 8))
 
     def test_queue_is_costliest_first_and_covers_every_replicate(self, monkeypatch):
         tasks = []

@@ -12,7 +12,7 @@ from sirsupport.sdp import (
     sdp_sign_recover,
     sdp_solve,
 )
-from sirsupport.sir import SirMatrix
+from sirsupport.sir import SirMatrix, inv_sqrt_sym
 
 
 def _solution_from_z(z, rank1_gap=0.0, dual=None):
@@ -151,6 +151,19 @@ class TestSolveDiagnostics:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(InvalidArgumentError):
             sdp_solve(np.array([[1.0, 1.0], [0.0, 1.0]]), SdpConfig(lam=0.1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: sdp_solve(m, SdpConfig(lam=0.1)),
+            project_spectraplex,
+            inv_sqrt_sym,
+        ],
+        ids=["sdp_solve", "project_spectraplex", "inv_sqrt_sym"],
+    )
+    def test_rejects_empty_matrix(self, call):
+        with pytest.raises(InvalidArgumentError, match="must be nonempty"):
+            call(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):
