@@ -129,13 +129,13 @@ def _parse_rows(path, header: list[str], line_no: int, lines: list[str], fh):
 
     The path for a block the C reader rejects.  ``line_no`` is the
     record number of the block's first line.  A quoted record still open
-    at the end of the block reads its remaining lines from ``fh``.
-    Returns the converted rows as an array, their record numbers, the
-    number of rows dropped for a missing cell and the next record number.
+    at the end of the block reads its remaining lines from ``fh``.  A
+    row with a missing cell comes back as all NaN, for ``ingest_csv`` to
+    drop and count.  Returns the converted rows as an array, their record
+    numbers and the next record number.
     """
     rows: list[list[float]] = []
     line_nos: list[int] = []
-    dropped = 0
     reader = csv.reader(itertools.chain(lines, fh))
     for row in reader:
         if row:
@@ -145,22 +145,22 @@ def _parse_rows(path, header: list[str], line_no: int, lines: list[str], fh):
                 )
             try:
                 rows.append(list(map(float, row)))
-                line_nos.append(line_no)
             except ValueError:
                 _check_unconvertible_row(path, header, line_no, row)
-                dropped += 1
+                rows.append([math.nan] * len(row))
+            line_nos.append(line_no)
         line_no += 1
         if reader.line_num >= len(lines):
             break
     table = np.array(rows, dtype=float).reshape(len(rows), len(header))
-    return table, np.array(line_nos, dtype=np.int64), dropped, line_no
+    return table, np.array(line_nos, dtype=np.int64), line_no
 
 
 def _read_blocks(path, y_column: str):
     """Read the header and the body blocks of a dataset CSV (see ``ingest_csv``).
 
-    Returns the stripped header, the parsed float blocks, their record
-    numbers and the number of rows dropped for a missing cell.
+    Returns the stripped header, the parsed float blocks and their record
+    numbers.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
@@ -174,7 +174,6 @@ def _read_blocks(path, y_column: str):
         width = len(header)
         blocks = [np.empty((0, width))]
         block_line_nos = [np.empty(0, dtype=np.int64)]
-        dropped = 0
         line_no = 2
         while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
             block = _parse_block(lines, width)
@@ -182,11 +181,10 @@ def _read_blocks(path, y_column: str):
                 nos = np.arange(line_no, line_no + len(lines))
                 line_no += len(lines)
             else:
-                block, nos, n_missing, line_no = _parse_rows(path, header, line_no, lines, fh)
-                dropped += n_missing
+                block, nos, line_no = _parse_rows(path, header, line_no, lines, fh)
             blocks.append(block)
             block_line_nos.append(nos)
-    return header, blocks, block_line_nos, dropped
+    return header, blocks, block_line_nos
 
 
 def _first_non_utf8(path) -> tuple[int, int]:
@@ -227,7 +225,7 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
     reader accepts converts to the same double under ``float``.
     """
     try:
-        header, blocks, block_line_nos, dropped = _read_blocks(path, y_column)
+        header, blocks, block_line_nos = _read_blocks(path, y_column)
     except UnicodeDecodeError:
         row, byte = _first_non_utf8(path)
         raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
@@ -238,7 +236,7 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
     del blocks  # so the copies below never hold the table three times
     line_nos = np.concatenate(block_line_nos)
     complete = ~np.isnan(table).any(axis=1)
-    dropped += int(table.shape[0] - complete.sum())
+    dropped = int(table.shape[0] - complete.sum())
     table = table[complete]
     infinite = np.argwhere(np.isinf(table))
     if infinite.size:
@@ -395,19 +393,33 @@ def emit_matrix_csv(m: np.ndarray, path) -> str:
     return _write_lines(path, _row_blocks(m) if len(m) else [""])
 
 
+def _first_bad_cell(path) -> str | None:
+    """The first cell ``float`` rejects, at its file row and column counted from 1."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        for row, line in enumerate(fh, start=1):
+            for col, cell in enumerate(line.rstrip("\r\n").split(","), start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    if line.strip("\r\n"):  # an empty line holds no row
+                        return f"non-numeric value {cell.strip()!r} at row {row}, column {col}"
+    return None
+
+
 def read_matrix_csv(path) -> np.ndarray:
     """Read a headerless square numeric matrix.
 
     A non-numeric cell (``2#c`` included) or a file without a number
     (empty, or blank lines only, as a 0 x 0 matrix is written) raises
     ``IngestError``; a NaN or infinite entry raises ``NumericalError``.
+    Both cite rows counted from 1.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without data is rejected below
             m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
+        raise IngestError(f"{path}: could not parse a numeric matrix: {_first_bad_cell(path) or exc}") from None
     if m.size == 0:
         raise IngestError(f"{path}: file holds no matrix")
     if m.shape[0] != m.shape[1]:

@@ -47,10 +47,14 @@ class SignedSupport:
 def dt_select(v, s: int) -> np.ndarray:
     """Indices (0-based, sorted ascending) of the s largest diagonal entries.
 
-    Ties are broken toward the lower index.  Accepts a SirMatrix or a
-    plain square symmetric array.
+    Ties are broken toward the lower index.  Accepts anything
+    ``as_matrix`` accepts.
     """
-    m = as_matrix(v)
+    return _select(as_matrix(v), s)
+
+
+def _select(m: np.ndarray, s: int) -> np.ndarray:
+    """``dt_select`` on a matrix that already passed ``as_matrix``."""
     p = m.shape[0]
     if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
@@ -81,7 +85,7 @@ def dt_sir(v, s: int) -> SignedSupport:
     than s.
     """
     m = as_matrix(v)
-    idx = dt_select(m, s)
+    idx = _select(m, s)
     vec = _oriented_principal_eigenvector(m[idx[:, None], idx])
     signs = np.zeros(m.shape[0], dtype=np.int8)
     signs[idx] = np.sign(vec)

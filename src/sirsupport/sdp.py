@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError
 from .dt import SignedSupport, _oriented_principal_eigenvector
-from .sir import _eigh, _mirror_upper, _require_symmetric, as_matrix
+from .sir import _eigh, _mirror_upper, as_matrix
 
 __all__ = [
     "SdpConfig",
@@ -55,7 +55,7 @@ class SdpConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+        if not (0.0 <= self.lam < math.inf):
             raise InvalidArgumentError(f"lam must be a finite nonnegative real, got {self.lam}")
         if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
             raise InvalidArgumentError(f"max_iter must be a positive integer, got {self.max_iter}")
@@ -126,7 +126,7 @@ def project_spectraplex(m) -> np.ndarray:
     Eigendecomposes the (symmetric) input, projects the eigenvalues onto
     the probability simplex, and reassembles.
     """
-    return _project_symmetric(_require_symmetric(as_matrix(m), "matrix"))
+    return _project_symmetric(as_matrix(m))
 
 
 def _project_symmetric(a: np.ndarray) -> np.ndarray:
@@ -136,17 +136,8 @@ def _project_symmetric(a: np.ndarray) -> np.ndarray:
     return _mirror_upper((q * mu) @ q.T)
 
 
-def _spectral_norm(a: np.ndarray) -> float:
-    w = np.linalg.eigvalsh(a)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-def _objective(a: np.ndarray, lam: float, z: np.ndarray) -> float:
-    return float(np.vdot(a, z) - lam * np.abs(z).sum())
 
 
 # iterations between duality-gap checks, each one eigvalsh of a p x p matrix
@@ -156,16 +147,12 @@ _GAP_EVERY = 10
 def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
     """Maximize tr(A Z) - lam * sum|Z_ij| over the spectraplex.
 
-    ``a`` may be a SirMatrix or a plain symmetric array.  The returned
-    iterate is always feasible, and ``duality_gap`` bounds its distance
-    to the optimum; ``converged`` reports whether that gap met the
-    tolerance within ``max_iter`` iterations.  A matrix with a
-    NaN or infinite entry raises ``NumericalError``.
+    ``a`` is anything ``as_matrix`` accepts.  The returned iterate is
+    always feasible, and ``duality_gap`` bounds its distance to the
+    optimum; ``converged`` reports whether that gap met the tolerance
+    within ``max_iter`` iterations.
     """
     mat = as_matrix(a)
-    if not np.isfinite(mat).all():
-        raise NumericalError("matrix has non-finite entries (NaN or infinity)")
-    mat = _require_symmetric(mat, "matrix")
     if not isinstance(cfg, SdpConfig):
         raise InvalidArgumentError("cfg must be an SdpConfig")
     return _solve_splitting(mat, cfg)
@@ -173,7 +160,7 @@ def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
 
 def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     lam = cfg.lam
-    norm = _spectral_norm(a)
+    norm = float(np.abs(np.linalg.eigvalsh(a)[[0, -1]]).max())  # the spectral norm
     step = 1.0 / norm if norm > 0 else 1.0
     thr = lam * step
     target = cfg.tol * max(1.0, norm)
@@ -187,7 +174,7 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
         w = _soft(z + u, thr)
         u = u + z - w
         if it % _GAP_EVERY == 0 or it == cfg.max_iter:
-            objective = _objective(a, lam, z)
+            objective = float(np.vdot(a, z) - lam * np.abs(z).sum())
             # u = clip(z + u, -thr, thr) after every update, so the scaled
             # dual sits in [-1, 1]; the clip only removes rounding
             dual = np.clip(u / thr, -1.0, 1.0) if thr > 0 else np.zeros_like(z)

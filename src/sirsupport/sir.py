@@ -46,16 +46,6 @@ MODES = ("raw", "centered", "whitened")
 _GATHER_CELLS = 256 * 100
 
 
-def as_matrix(v) -> np.ndarray:
-    """Unwrap a SirMatrix, or validate a plain square array."""
-    if isinstance(v, SirMatrix):
-        return v.v
-    m = np.asarray(v, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidArgumentError("expected a SirMatrix or a square array")
-    return m
-
-
 @lru_cache(maxsize=8)
 def _upper_mask(p: int) -> np.ndarray:
     """Read-only p x p mask of the upper triangle, diagonal included."""
@@ -80,16 +70,25 @@ def _eigh(m: np.ndarray):
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
-    """Exact mirror of a nonempty square array that is symmetric up to rounding.
+def as_matrix(v, name: str = "matrix") -> np.ndarray:
+    """The one gate for a matrix entering an estimator.
 
-    Rounding means max|a - a'| <= 1e-10 * max(1, max|a|); ``name`` is
-    the argument the messages blame.
+    A SirMatrix passes through unchanged: it is finite and exactly
+    symmetric by construction.  A plain array must be square and
+    nonempty (else ``InvalidArgumentError``), finite (else
+    ``NumericalError``) and symmetric up to rounding, max|a - a'| <=
+    1e-10 * max(1, max|a|) (else ``InvalidArgumentError``); its exact
+    mirror is returned.  ``name`` is the argument the messages blame.
     """
+    if isinstance(v, SirMatrix):
+        return v.v
+    a = np.asarray(v, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError(f"{name} must be a square matrix")
     if a.size == 0:
         raise InvalidArgumentError(f"{name} must be nonempty")
+    if not np.isfinite(a).all():
+        raise NumericalError(f"{name} has non-finite entries (NaN or infinity)")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-10 * scale:
         raise InvalidArgumentError(f"{name} must be symmetric")
@@ -115,7 +114,7 @@ class SlicedSample:
 
 @dataclass(frozen=True)
 class SirMatrix:
-    """A symmetric p x p slice-mean moment matrix."""
+    """A finite, exactly symmetric p x p slice-mean moment matrix."""
 
     v: np.ndarray
     mode: str
@@ -123,8 +122,10 @@ class SirMatrix:
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise InvalidArgumentError("v must be a square matrix")
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
+            raise InvalidArgumentError("v must be a nonempty square matrix")
+        if not np.isfinite(v).all():
+            raise NumericalError("v has non-finite entries (NaN or infinity)")
         if not np.array_equal(v, v.T):
             raise InvalidArgumentError("v must be exactly symmetric")
         if self.mode not in MODES:
@@ -197,29 +198,20 @@ def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:
     return SirMatrix(v=v, mode=mode, h=sliced.h)
 
 
-def inv_sqrt_sym(sigma: np.ndarray, eig_floor: float | None = None) -> np.ndarray:
+def inv_sqrt_sym(sigma) -> np.ndarray:
     """Inverse symmetric square root Q diag(w^-1/2) Q' of a positive definite matrix.
 
-    ``eig_floor`` defaults to 1e-10 times the largest eigenvalue; any
-    eigenvalue below the floor raises ``NotPositiveDefiniteError`` naming
-    the offending eigenvalue.
+    Any eigenvalue below 1e-10 times the largest raises
+    ``NotPositiveDefiniteError`` naming the offending eigenvalue.
     """
-    sigma = _require_symmetric(np.asarray(sigma, dtype=float), "sigma")
-    if eig_floor is not None and not (eig_floor > 0):
-        raise InvalidArgumentError(f"eig_floor must be positive, got {eig_floor}")
-    w, q = _eigh(sigma)
-    floor = float(eig_floor) if eig_floor is not None else 1e-10 * float(w[-1])
+    w, q = _eigh(as_matrix(sigma, "sigma"))
+    floor = 1e-10 * float(w[-1])
     if w[0] < floor or floor <= 0:
         raise NotPositiveDefiniteError(eigenvalue=float(w[0]), floor=floor)
     return _mirror_upper((q * w**-0.5) @ q.T)
 
 
-def sir_matrix_whitened(
-    data: Dataset,
-    h: int,
-    seed: int = 0,
-    eig_floor: float | None = None,
-) -> SirMatrix:
+def sir_matrix_whitened(data: Dataset, h: int, seed: int = 0) -> SirMatrix:
     """Centered slice-mean matrix conjugated by the inverse root of the sample covariance.
 
     The covariance is the maximum-likelihood estimate (1/n) sum_i
@@ -233,9 +225,9 @@ def sir_matrix_whitened(
             "whitening needs n > p"
         )
     xc = data.x - data.x.mean(axis=0)
-    sigma = _mirror_upper(xc.T @ xc / n)
+    sigma = xc.T @ xc / n  # inv_sqrt_sym mirrors it exactly
     del xc  # free the centred n x p copy before slicing
-    w = inv_sqrt_sym(sigma, eig_floor)
+    w = inv_sqrt_sym(sigma)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v
     v = _mirror_upper(w @ centered @ w)
     return SirMatrix(v=v, mode="whitened", h=int(h))

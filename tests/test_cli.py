@@ -330,6 +330,15 @@ def test_manifest_config_from_flags_and_ini(tmp_path, monkeypatch, command):
         assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
+def _overflowing_csv() -> str:
+    """A well-formed dataset whose sample covariance overflows: x2 is scaled by 1e200."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((200, 5))
+    x[:, 1] *= 1e200
+    rows = np.column_stack((x[:, 0] + rng.standard_normal(200), x)).tolist()
+    return "y,x1,x2,x3,x4,x5\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 class TestErrorHandling:
     def test_missing_required_option(self, tmp_path, capsys):
         rc = main(["simulate", "--out", str(tmp_path)])
@@ -423,8 +432,13 @@ class TestErrorHandling:
             ("flat.csv", "y,a,b\n" + "".join(f"{i % 5},{i * i % 7},1\n" for i in range(12)),
              ["recover", "--data", "flat.csv", "--s", "1", "--H", "2"]),
             ("nan.csv", "1,nan\nnan,1\n", ["sdp-solve", "--matrix", "nan.csv", "--lambda", "0.1"]),
+            ("big.csv", _overflowing_csv(),
+             ["recover", "--data", "big.csv", "--s", "2", "--method", "dt"]),
+            ("big.csv", _overflowing_csv(),
+             ["recover", "--data", "big.csv", "--s", "2", "--method", "sdp"]),
         ],
-        ids=["recover-fat", "recover-constant-column", "sdp-solve-nan"],
+        ids=["recover-fat", "recover-constant-column", "sdp-solve-nan", "recover-dt-overflow",
+             "recover-sdp-overflow"],
     )
     def test_numerical_failure_leaves_no_output_folder(
         self, tmp_path, monkeypatch, capsys, name, text, argv

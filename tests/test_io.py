@@ -288,6 +288,12 @@ class TestMatrixCsv:
         with pytest.raises(IngestError):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize(("text", "row"), [("1,2\n3,x\n", 2), ("1,2\n\n3,x\n", 3)])
+    def test_garbage_cites_the_file_row(self, tmp_path, text, row):
+        path = _write(tmp_path / "m.csv", text)
+        with pytest.raises(IngestError, match=f"'x' at row {row}, column 2"):
+            read_matrix_csv(path)
+
     @pytest.mark.parametrize("text", ["1,2#junk\n3,4\n", "# a comment\n1,2\n3,4\n"])
     def test_hash_is_not_a_comment(self, tmp_path, text):
         path = _write(tmp_path / "m.csv", text)

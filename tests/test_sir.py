@@ -3,12 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sirsupport.dt import dt_select, dt_sir
 from sirsupport.errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
+    NumericalError,
     RankDeficientError,
 )
 from sirsupport.models import Dataset, ModelSpec, generate_beta, sample_sim
+from sirsupport.sdp import SdpConfig, default_lambda, project_spectraplex, sdp_solve
 from sirsupport.sir import (
     MODES,
     SirMatrix,
@@ -115,6 +118,10 @@ class TestSirMatrix:
         with pytest.raises(InvalidArgumentError):
             SirMatrix(v=np.eye(2), mode="diagonal", h=2)
 
+    def test_wrapper_rejects_non_finite(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            SirMatrix(v=np.diag([np.inf, 1.0]), mode="raw", h=2)
+
     def test_modes_tuple(self):
         assert MODES == ("raw", "centered", "whitened")
 
@@ -166,6 +173,38 @@ class TestAsMatrix:
         with pytest.raises(InvalidArgumentError):
             as_matrix(np.zeros((2, 3)))
 
+    def test_returns_the_exact_mirror(self):
+        a = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
+        np.testing.assert_array_equal(as_matrix(a), [[1.0, 2.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: dt_select(m, 1),
+            lambda m: dt_sir(m, 1),
+            lambda m: default_lambda(m, 1),
+            lambda m: sdp_solve(m, SdpConfig(lam=0.1)),
+            project_spectraplex,
+            inv_sqrt_sym,
+        ],
+        ids=["dt_select", "dt_sir", "default_lambda", "sdp_solve", "project_spectraplex",
+             "inv_sqrt_sym"],
+    )
+    @pytest.mark.parametrize(
+        ("bad", "error", "message"),
+        [
+            (np.array([[2.0, 5.0], [-5.0, 1.0]]), InvalidArgumentError, "must be symmetric"),
+            (np.diag([1.0, np.nan]), NumericalError, "non-finite"),
+            (np.array([[1.0, np.inf], [np.inf, 2.0]]), NumericalError, "non-finite"),
+            (np.zeros((0, 0)), InvalidArgumentError, "must be nonempty"),
+            (np.zeros((2, 3)), InvalidArgumentError, "must be a square matrix"),
+        ],
+        ids=["asymmetric", "nan", "inf", "empty", "2x3"],
+    )
+    def test_every_entry_point_applies_the_gate(self, call, bad, error, message):
+        with pytest.raises(error, match=message):
+            call(bad)
+
 
 class TestInvSqrtSym:
     def test_diagonal_hand_example(self):
@@ -188,13 +227,6 @@ class TestInvSqrtSym:
         assert err.value.eigenvalue == pytest.approx(1e-14)
         assert err.value.floor == pytest.approx(1e-10)
         assert "eigenvalue" in str(err.value)
-
-    def test_explicit_floor_overrides_default(self):
-        sigma = np.diag([1.0, 1e-14])
-        w = inv_sqrt_sym(sigma, eig_floor=1e-16)
-        assert np.isfinite(w).all()
-        with pytest.raises(InvalidArgumentError):
-            inv_sqrt_sym(sigma, eig_floor=0.0)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidArgumentError):
