@@ -9,124 +9,48 @@ relaxation, and measures how fast recovery becomes possible as the
 sample grows.
 """
 
-from .version import __version__
-from .errors import (
-    IngestError,
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    RankDeficientError,
-    SirSupportError,
-)
-from .models import (
-    BETA_SCHEMES,
-    LINK_NAMES,
-    Dataset,
-    ModelSpec,
-    SparseDirection,
-    estimate_cv,
-    generate_beta,
-    sample_sim,
-)
-from .sir import (
-    MODES,
-    SirMatrix,
-    SlicedSample,
-    inv_sqrt_sym,
-    sir_matrix,
-    sir_matrix_whitened,
-    slice_data,
-)
-from .dt import SignedSupport, dt_select, dt_sir, signed_support_match
-from .sdp import (
-    SdpConfig,
-    SdpSolution,
-    default_lambda,
-    project_spectraplex,
-    sdp_sign_recover,
-    sdp_solve,
-)
-from .curves import (
-    METHODS,
-    CurveConfig,
-    CurvePoint,
-    EfficiencyCurve,
-    StabilityDiagnostic,
-    fit_decay_exponent,
-    gamma_to_n,
-    run_curve,
-    stability_diagnostic,
-)
-from .dataio import (
-    IngestedTable,
-    RecoveryReport,
-    RecoveryRow,
-    RunManifest,
-    emit_curve_csv,
-    emit_dataset_csv,
-    emit_diagnostic_csv,
-    emit_recovery_csv,
-    ingest_csv,
-    recover_real,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    # errors
-    "SirSupportError",
-    "InvalidArgumentError",
-    "IngestError",
-    "NumericalError",
-    "NotPositiveDefiniteError",
-    "RankDeficientError",
-    # models
-    "LINK_NAMES",
-    "BETA_SCHEMES",
-    "ModelSpec",
-    "SparseDirection",
-    "Dataset",
-    "generate_beta",
-    "sample_sim",
-    "estimate_cv",
-    # slice-mean matrices
-    "MODES",
-    "SlicedSample",
-    "SirMatrix",
-    "slice_data",
-    "sir_matrix",
-    "inv_sqrt_sym",
-    "sir_matrix_whitened",
-    # diagonal thresholding
-    "SignedSupport",
-    "dt_select",
-    "dt_sir",
-    "signed_support_match",
-    # semidefinite relaxation
-    "SdpConfig",
-    "SdpSolution",
-    "project_spectraplex",
-    "sdp_solve",
-    "sdp_sign_recover",
-    "default_lambda",
-    # experiments
-    "METHODS",
-    "CurveConfig",
-    "CurvePoint",
-    "EfficiencyCurve",
-    "StabilityDiagnostic",
-    "gamma_to_n",
-    "run_curve",
-    "stability_diagnostic",
-    "fit_decay_exponent",
-    # data io
-    "IngestedTable",
-    "RecoveryRow",
-    "RecoveryReport",
-    "RunManifest",
-    "ingest_csv",
-    "recover_real",
-    "emit_curve_csv",
-    "emit_dataset_csv",
-    "emit_diagnostic_csv",
-    "emit_recovery_csv",
-]
+# Each public name and the module that defines it, in the order of
+# ``__all__``.  Nothing is imported until a name is first used (PEP 562),
+# so ``import sirsupport`` and the console front end load no numpy.
+_MODULE_OF = {
+    name: module
+    for module, names in [
+        ("version", "__version__"),
+        ("errors", "SirSupportError InvalidArgumentError IngestError NumericalError "
+                   "NotPositiveDefiniteError RankDeficientError"),
+        ("models", "LINK_NAMES BETA_SCHEMES ModelSpec SparseDirection Dataset generate_beta "
+                   "sample_sim estimate_cv"),
+        # slice-mean matrices
+        ("sir", "MODES SlicedSample SirMatrix slice_data sir_matrix inv_sqrt_sym "
+                "sir_matrix_whitened"),
+        # diagonal thresholding
+        ("dt", "SignedSupport dt_select dt_sir signed_support_match"),
+        # semidefinite relaxation
+        ("sdp", "SdpConfig SdpSolution project_spectraplex sdp_solve sdp_sign_recover "
+                "default_lambda"),
+        # experiments
+        ("curves", "METHODS CurveConfig CurvePoint EfficiencyCurve StabilityDiagnostic "
+                   "gamma_to_n run_curve stability_diagnostic fit_decay_exponent"),
+        # data io
+        ("dataio", "IngestedTable RecoveryRow RecoveryReport RunManifest ingest_csv recover_real "
+                   "emit_curve_csv emit_dataset_csv emit_diagnostic_csv emit_recovery_csv"),
+    ]
+    for name in names.split()
+}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _MODULE_OF.values():  # a submodule, as ``import sirsupport`` used to load them all
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,6 +237,8 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     if workers == 1 or not run:
         results = [_run_block(cfg, gi, 0, cfg.reps, ns[gi]) for gi in run]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # most processes never start a pool
+
         _require_picklable_link(cfg.model)
         block = max(1, cfg.reps // (4 * workers))
         queue = [(cfg, gi, lo, min(lo + block, cfg.reps), ns[gi])

@@ -22,16 +22,19 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, asdict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curves import EfficiencyCurve, StabilityDiagnostic
 from .dt import _oriented_principal_eigenvector, dt_sir
 from .errors import IngestError, InvalidArgumentError, NumericalError
 from .models import Dataset
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
 from .sir import sir_matrix_whitened
 from .version import __version__
+
+if TYPE_CHECKING:
+    from .curves import EfficiencyCurve, StabilityDiagnostic
 
 __all__ = [
     "IngestedTable",
@@ -393,17 +396,29 @@ def emit_matrix_csv(m: np.ndarray, path) -> str:
     return _write_lines(path, _row_blocks(m) if len(m) else [""])
 
 
-def _first_bad_cell(path) -> str | None:
-    """The first cell ``float`` rejects, at its file row and column counted from 1."""
+def _data_rows(path):
+    """(file row counted from 1, cells) for each line that holds a matrix row."""
     with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         for row, line in enumerate(fh, start=1):
-            for col, cell in enumerate(line.rstrip("\r\n").split(","), start=1):
-                try:
-                    float(cell)
-                except ValueError:
-                    if line.strip("\r\n"):  # an empty line holds no row
-                        return f"non-numeric value {cell.strip()!r} at row {row}, column {col}"
-    return None
+            line = line.rstrip("\r\n")
+            if line:  # an empty line holds no row
+                yield row, line.split(",")
+
+
+def _first_parse_fault(path) -> str | None:
+    """The first cell ``float`` rejects, else the first change of width, at its file row."""
+    width = changed = None
+    for row, cells in _data_rows(path):
+        for col, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"non-numeric value {cell.strip()!r} at row {row}, column {col}"
+        if width is None:
+            width = len(cells)
+        elif changed is None and len(cells) != width:
+            changed = f"the number of columns changed from {width} to {len(cells)} at row {row}"
+    return changed
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -411,15 +426,16 @@ def read_matrix_csv(path) -> np.ndarray:
 
     A non-numeric cell (``2#c`` included) or a file without a number
     (empty, or blank lines only, as a 0 x 0 matrix is written) raises
-    ``IngestError``; a NaN or infinite entry raises ``NumericalError``.
-    Both cite rows counted from 1.
+    ``IngestError``, and so does a row whose width differs from the
+    first; a NaN or infinite entry raises ``NumericalError``.  Each
+    message cites the file row counted from 1, empty lines included.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a file without data is rejected below
             m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise IngestError(f"{path}: could not parse a numeric matrix: {_first_bad_cell(path) or exc}") from None
+        raise IngestError(f"{path}: could not parse a numeric matrix: {_first_parse_fault(path) or exc}") from None
     if m.size == 0:
         raise IngestError(f"{path}: file holds no matrix")
     if m.shape[0] != m.shape[1]:
@@ -427,9 +443,8 @@ def read_matrix_csv(path) -> np.ndarray:
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]
-        raise NumericalError(
-            f"{path}: non-finite entry {float(m[i, j])} at row {i + 1}, column {j + 1}"
-        )
+        row = next(itertools.islice(_data_rows(path), i, None))[0]
+        raise NumericalError(f"{path}: non-finite entry {float(m[i, j])} at row {row}, column {j + 1}")
     return m
 
 

@@ -224,8 +224,9 @@ def sir_matrix_whitened(data: Dataset, h: int, seed: int = 0) -> SirMatrix:
             f"sample covariance is rank deficient with n={n} <= p={p}; "
             "whitening needs n > p"
         )
-    xc = data.x - data.x.mean(axis=0)
-    sigma = xc.T @ xc / n  # inv_sqrt_sym mirrors it exactly
+    with np.errstate(over="ignore", invalid="ignore"):  # inv_sqrt_sym reports non-finite sigma
+        xc = data.x - data.x.mean(axis=0)
+        sigma = xc.T @ xc / n  # inv_sqrt_sym mirrors it exactly
     del xc  # free the centred n x p copy before slicing
     w = inv_sqrt_sym(sigma)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import shutil
@@ -182,6 +183,20 @@ class TestSdpSolve:
         assert rc == 1
         assert f"{path}: file holds no matrix" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        ("text", "code", "message"),
+        [("1,2\n\n3,nan\n", 2, "non-finite entry nan at row 3, column 2"),
+         ("1,2\n\n3,4,5\n", 1, "columns changed from 2 to 3 at row 3")],
+        ids=["non-finite", "width"],
+    )
+    def test_matrix_fault_cites_the_file_row(self, tmp_path, capsys, text, code, message):
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        rc = main(["sdp-solve", "--matrix", str(path), "--lambda", "0.1",
+                   "--out", str(tmp_path / "run")])
+        assert rc == code
+        assert capsys.readouterr().err.rstrip("\n").endswith(message)
 
     def test_hash_in_a_cell_exits_one(self, tmp_path, capsys):
         path = tmp_path / "a.csv"
@@ -440,6 +455,7 @@ class TestErrorHandling:
         ids=["recover-fat", "recover-constant-column", "sdp-solve-nan", "recover-dt-overflow",
              "recover-sdp-overflow"],
     )
+    @pytest.mark.filterwarnings("error")  # a warning would print package source on stderr
     def test_numerical_failure_leaves_no_output_folder(
         self, tmp_path, monkeypatch, capsys, name, text, argv
     ):
@@ -447,8 +463,8 @@ class TestErrorHandling:
         (tmp_path / name).write_text(text)
         rc = main([*argv, "--out", "run"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "Traceback" not in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
         assert not (tmp_path / "run").exists()
 
     def test_unknown_flag_exits_one(self):
@@ -468,20 +484,25 @@ class TestErrorHandling:
         assert __version__ in capsys.readouterr().out
 
 
+def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this source tree."""
+    src = Path(sirsupport.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestImportCost:
     """The package depends on numpy only, so importing it must not load scipy."""
 
     @staticmethod
     def _loads_scipy(module: str) -> str:
-        src = Path(sirsupport.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
-        probe = f"import sys, {module}; print('scipy' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-        )
+        proc = _python(f"import sys, {module}; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
     def test_cli_imports_without_scipy(self):
@@ -489,6 +510,64 @@ class TestImportCost:
 
     def test_package_imports_without_scipy(self):
         assert self._loads_scipy("sirsupport") == "False"
+
+    def test_package_import_loads_no_numpy(self):
+        proc = _python("import sys, sirsupport; print('numpy' in sys.modules)")
+        assert proc.stdout.strip() == "False", proc.stderr
+
+    def test_every_export_is_its_defining_modules_object(self):
+        for name, module_name in sirsupport._MODULE_OF.items():
+            module = importlib.import_module(f"sirsupport.{module_name}")
+            value = getattr(sirsupport, name)
+            assert value is getattr(module, name), name
+            assert getattr(value, "__module__", module.__name__) == module.__name__, name
+
+    def test_star_import_binds_all(self):
+        namespace = {}
+        exec("from sirsupport import *", namespace)
+        assert set(sirsupport.__all__) <= set(namespace)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            sirsupport.nope  # noqa: B018
+
+
+# Each argv is answered by the console front end alone: (argv, exit code, start of stdout).
+NUMPY_FREE = [
+    (["--version"], 0, f"sirsupport {__version__}\n"),
+    (["--help"], 0, "usage: sirsupport [-h] [--version]"),
+    (["curve", "--help"], 0, "usage: sirsupport curve [-h]"),
+    (["simulate", "--bogus"], 1, ""),
+]
+
+
+class TestConsoleFrontEnd:
+    PROBE = (
+        "import sys\n"
+        "from sirsupport.console import main\n"
+        "try:\n"
+        "    code = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print('numpy' in sys.modules, code, file=sys.stderr)\n"
+    )
+
+    @pytest.mark.parametrize(("argv", "code", "stdout"), NUMPY_FREE,
+                             ids=[" ".join(a) for a, _, _ in NUMPY_FREE])
+    def test_answers_without_numpy(self, argv, code, stdout):
+        proc = _python(self.PROBE, *argv)
+        assert proc.stderr.splitlines()[-1] == f"False {code}"
+        assert proc.stdout.startswith(stdout)
+
+    def test_unknown_flag_is_named(self):
+        proc = _python(self.PROBE, "simulate", "--bogus")
+        assert proc.stdout == ""
+        assert "sirsupport: error: unrecognized arguments: --bogus" in proc.stderr
+
+    def test_cli_reexports_main(self):
+        from sirsupport import cli, console
+
+        assert cli.main is console.main
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

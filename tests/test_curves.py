@@ -230,7 +230,7 @@ class TestScheduler:
 
     def test_queue_is_costliest_first_and_covers_every_replicate(self, monkeypatch):
         tasks = []
-        monkeypatch.setattr(curves, "ProcessPoolExecutor", _inline_pool(tasks))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _inline_pool(tasks))
         cfg = _cfg(**{**self.MIXED, "reps": 19})
         curve = run_curve(cfg, workers=2)
         assert curve.points == run_curve(cfg, workers=1).points
@@ -242,13 +242,13 @@ class TestScheduler:
         assert covered == [(gi, r) for gi in (2, 3) for r in range(19)]
 
     def test_no_pool_when_every_point_is_skipped(self, monkeypatch):
-        monkeypatch.setattr(curves, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
         curve = run_curve(_cfg(gamma_grid=(0.1, 0.2), reps=3), workers=2)
         assert all(pt.skipped for pt in curve.points)
         assert curve.wall_times == (0.0, 0.0)
 
     def test_unpicklable_link_rejected_before_any_worker(self, monkeypatch):
-        monkeypatch.setattr(curves, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _no_pool)
 
         def local_link(u, eps):
             return u + eps

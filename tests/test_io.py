@@ -294,6 +294,17 @@ class TestMatrixCsv:
         with pytest.raises(IngestError, match=f"'x' at row {row}, column 2"):
             read_matrix_csv(path)
 
+    @pytest.mark.parametrize(
+        ("text", "error", "message"),
+        [("1,2\n\n3,nan\n", NumericalError, "non-finite entry nan at row 3, column 2"),
+         ("1,2\n\n3,4,5\n", IngestError, "columns changed from 2 to 3 at row 3")],
+        ids=["non-finite", "width"],
+    )
+    def test_every_fault_cites_the_file_row(self, tmp_path, text, error, message):
+        path = _write(tmp_path / "m.csv", text)
+        with pytest.raises(error, match=f"{message}$"):
+            read_matrix_csv(path)
+
     @pytest.mark.parametrize("text", ["1,2#junk\n3,4\n", "# a comment\n1,2\n3,4\n"])
     def test_hash_is_not_a_comment(self, tmp_path, text):
         path = _write(tmp_path / "m.csv", text)
