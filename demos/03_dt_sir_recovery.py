@@ -57,8 +57,9 @@ print("matches truth:", signed_support_match(small, truth))
 tied = np.diag([1.0, 2.0, 2.0, 2.0, 0.5])
 print("\ntie-break on diag [1, 2, 2, 2, .5], s=2:", dt_select(tied, 2))
 
-# Zeroed coordinates below 1/(2 sqrt s) of the eigenvector scale protect
-# against spurious signs inside the selected block.
+# dt_sir keeps the s largest diagonal entries (indices 0 and 1 here) and
+# reads their signs off the principal eigenvector of that block, oriented
+# so its largest entry is positive; every other coordinate gets sign 0.
 block = np.array(
     [
         [2.0, -0.9, 0.0],

@@ -49,8 +49,9 @@ print(
 upper = np.linalg.eigvalsh(v.v - lam * sol.dual)[-1]
 print(f"dual upper bound {upper:.6f}, certified duality gap {sol.duality_gap:.2e}")
 
-# Signs come from the oriented principal eigenvector, with entries under
-# 1/(2 sqrt s) zeroed out.
+# Signs come from the oriented principal eigenvector: its s largest
+# magnitudes are kept, by the same top-s rule dt_sir applies to the
+# diagonal, and every other coordinate gets sign 0.
 est = sdp_sign_recover(sol, s=5)
 print("\nestimated signed support:", np.flatnonzero(est.signs),
       est.signs[np.flatnonzero(est.signs)])

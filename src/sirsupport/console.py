@@ -60,9 +60,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _sparsity(text: str) -> int | str:
-    from .curves import SPARSITY_RULES
-
-    return text if text in SPARSITY_RULES else int(text)
+    """An integer, else the text as a rule name for ``CurveConfig`` to check."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> dict[str, str]:

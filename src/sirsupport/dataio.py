@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dt import _oriented_principal_eigenvector, dt_sir
+from .dt import _oriented_principal_eigenvector, _top, dt_sir
 from .errors import IngestError, InvalidArgumentError, NumericalError
 from .models import Dataset
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
@@ -285,9 +285,10 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
 
     Scores are the diagonal entries of the whitened matrix for "dt" and
     the principal-eigenvector magnitudes of the penalized solution for
-    "sdp".  Exactly s variables are marked selected; signs come from the
-    corresponding signed-support extraction.  The whitened fit needs
-    n > p and raises ``RankDeficientError`` otherwise.
+    "sdp".  Rows are ranked and the top s selected by the rule of
+    ``dt_sir`` (ties toward the earlier column), so a sign is nonzero
+    exactly on the selected rows, bar an exactly zero eigenvector entry.
+    The whitened fit needs n > p and raises ``RankDeficientError`` otherwise.
     """
     if method not in RECOVER_METHODS:
         raise InvalidArgumentError(f"method must be one of {RECOVER_METHODS}, got {method!r}")
@@ -303,9 +304,8 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
         sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, int(s))))
         scores = np.abs(_oriented_principal_eigenvector(sol.z))
         signs = sdp_sign_recover(sol, int(s)).signs
-    order = np.argsort(-scores, kind="stable")  # ties broken toward earlier columns
     rows = []
-    for rank_minus_one, j in enumerate(order):
+    for rank_minus_one, j in enumerate(_top(scores, p)):
         rows.append(
             RecoveryRow(
                 variable=table.columns[j],
@@ -406,19 +406,19 @@ def _data_rows(path):
 
 
 def _first_parse_fault(path) -> str | None:
-    """The first cell ``float`` rejects, else the first change of width, at its file row."""
-    width = changed = None
+    """The first faulty row's fault: a change of width, else the first cell ``float`` rejects."""
+    width = None
     for row, cells in _data_rows(path):
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            return f"the number of columns changed from {width} to {len(cells)} at row {row}"
         for col, cell in enumerate(cells, start=1):
             try:
                 float(cell)
             except ValueError:
                 return f"non-numeric value {cell.strip()!r} at row {row}, column {col}"
-        if width is None:
-            width = len(cells)
-        elif changed is None and len(cells) != width:
-            changed = f"the number of columns changed from {width} to {len(cells)} at row {row}"
-    return changed
+    return None
 
 
 def read_matrix_csv(path) -> np.ndarray:

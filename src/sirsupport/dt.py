@@ -50,18 +50,19 @@ def dt_select(v, s: int) -> np.ndarray:
     Ties are broken toward the lower index.  Accepts anything
     ``as_matrix`` accepts.
     """
-    return _select(as_matrix(v), s)
+    return np.sort(_top(np.diag(as_matrix(v)), s))
 
 
-def _select(m: np.ndarray, s: int) -> np.ndarray:
-    """``dt_select`` on a matrix that already passed ``as_matrix``."""
-    p = m.shape[0]
+def _top(scores: np.ndarray, s: int) -> np.ndarray:
+    """Indices of the s largest scores, largest first, ties toward the lower index.
+
+    DT-SIR, the SDP rounding and ``recover_real`` all select by this rule.
+    """
+    p = scores.size
     if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
-    diag = np.diag(m)
-    # stable sort on the negated diagonal keeps lower indices first on ties
-    top = np.argsort(-diag, kind="stable")[:s]
-    return np.sort(top)
+    # a stable sort of the negated scores keeps lower indices first on ties
+    return np.argsort(-scores, kind="stable")[:s]
 
 
 def _oriented_principal_eigenvector(m: np.ndarray) -> np.ndarray:
@@ -85,7 +86,7 @@ def dt_sir(v, s: int) -> SignedSupport:
     than s.
     """
     m = as_matrix(v)
-    idx = _select(m, s)
+    idx = np.sort(_top(np.diag(m), s))
     vec = _oriented_principal_eigenvector(m[idx[:, None], idx])
     signs = np.zeros(m.shape[0], dtype=np.int8)
     signs[idx] = np.sign(vec)

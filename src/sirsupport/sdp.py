@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .dt import SignedSupport, _oriented_principal_eigenvector
+from .dt import SignedSupport, _oriented_principal_eigenvector, _top
 from .sir import _eigh, _mirror_upper, as_matrix
 
 __all__ = [
@@ -193,18 +193,18 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
 
 
 def sdp_sign_recover(sol: SdpSolution, s: int) -> SignedSupport:
-    """Signs of the principal eigenvector of the solution, small entries zeroed.
+    """Signs of the s largest-magnitude entries of the solution's principal eigenvector.
 
     The eigenvector is oriented so its largest-magnitude entry is
-    positive; entries with magnitude below 1 / (2 sqrt(s)) map to 0.
+    positive, and its magnitudes are selected as ``dt_sir`` selects the
+    diagonal; other coordinates, and a selected exact 0, get sign 0.
     """
     if not isinstance(sol, SdpSolution):
         raise InvalidArgumentError("sol must be an SdpSolution")
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise InvalidArgumentError(f"s must be a positive integer, got {s}")
     vec = _oriented_principal_eigenvector(sol.z)
-    thr = 1.0 / (2.0 * math.sqrt(s))
-    signs = np.where(np.abs(vec) < thr, 0, np.sign(vec)).astype(np.int8)
+    idx = _top(np.abs(vec), s)
+    signs = np.zeros(vec.size, dtype=np.int8)
+    signs[idx] = np.sign(vec[idx])
     return SignedSupport(signs=signs)
 
 
@@ -215,9 +215,5 @@ def default_lambda(a, s: int) -> float:
     signal, so this tracks (signal strength) / (2 s) without requiring
     the signal constant itself.
     """
-    mat = as_matrix(a)
-    p = mat.shape[0]
-    if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
-        raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
-    diag_sorted = np.sort(np.diag(mat))[::-1]
-    return float(diag_sorted[s - 1] / 2.0)
+    diag = np.diag(as_matrix(a))
+    return float(diag[_top(diag, s)[-1]] / 2.0)

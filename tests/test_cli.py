@@ -187,8 +187,9 @@ class TestSdpSolve:
     @pytest.mark.parametrize(
         ("text", "code", "message"),
         [("1,2\n\n3,nan\n", 2, "non-finite entry nan at row 3, column 2"),
-         ("1,2\n\n3,4,5\n", 1, "columns changed from 2 to 3 at row 3")],
-        ids=["non-finite", "width"],
+         ("1,2\n\n3,4,5\n", 1, "columns changed from 2 to 3 at row 3"),
+         ("1,2\n3,4,5\n6,x\n", 1, "columns changed from 2 to 3 at row 2")],
+        ids=["non-finite", "width", "width-before-a-later-cell"],
     )
     def test_matrix_fault_cites_the_file_row(self, tmp_path, capsys, text, code, message):
         path = tmp_path / "a.csv"
@@ -538,6 +539,7 @@ NUMPY_FREE = [
     (["--help"], 0, "usage: sirsupport [-h] [--version]"),
     (["curve", "--help"], 0, "usage: sirsupport curve [-h]"),
     (["simulate", "--bogus"], 1, ""),
+    (["curve", "--bogus"], 1, ""),
 ]
 
 

@@ -6,6 +6,7 @@ import pytest
 from sirsupport.curves import CurveConfig, run_curve, stability_diagnostic
 from sirsupport.dataio import (
     CURVE_HEADER,
+    IngestedTable,
     RunManifest,
     emit_curve_csv,
     emit_dataset_csv,
@@ -163,6 +164,17 @@ class TestRecoverReal:
         assert all(r.selected for r in report.rows[:3])
         assert not any(r.selected for r in report.rows[3:])
 
+    @pytest.mark.parametrize("method", ["dt", "sdp"])
+    def test_sign_is_nonzero_exactly_on_selected_rows(self, method):
+        model = ModelSpec(link="atan2", noise_sd=1.0)
+        beta = generate_beta(p=50, s=5, scheme="fixed", seed=0)
+        columns = tuple(f"x{j + 1}" for j in range(50))
+        for seed in range(12):
+            data = sample_sim(model, beta, n=150, seed=seed)
+            table = IngestedTable(columns=columns, y_column="y", x=data.x, y=data.y, n_dropped=0)
+            for row in recover_real(table, s=5, method=method).rows:
+                assert (row.sign != 0) == (row.selected and row.score != 0), (seed, row)
+
     def test_ranks_are_a_permutation(self, table):
         report = recover_real(table, s=3)
         assert sorted(r.rank for r in report.rows) == list(range(1, 21))
@@ -297,8 +309,9 @@ class TestMatrixCsv:
     @pytest.mark.parametrize(
         ("text", "error", "message"),
         [("1,2\n\n3,nan\n", NumericalError, "non-finite entry nan at row 3, column 2"),
-         ("1,2\n\n3,4,5\n", IngestError, "columns changed from 2 to 3 at row 3")],
-        ids=["non-finite", "width"],
+         ("1,2\n\n3,4,5\n", IngestError, "columns changed from 2 to 3 at row 3"),
+         ("1,2\n3,4,5\n6,x\n", IngestError, "columns changed from 2 to 3 at row 2")],
+        ids=["non-finite", "width", "width-before-a-later-cell"],
     )
     def test_every_fault_cites_the_file_row(self, tmp_path, text, error, message):
         path = _write(tmp_path / "m.csv", text)

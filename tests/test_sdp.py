@@ -223,12 +223,27 @@ class TestSolveDiagnostics:
 
 
 class TestSignRecover:
-    def test_flat_vector_below_strict_threshold(self):
-        z = np.full((5, 5), 0.2)
-        sol = _solution_from_z(z)
-        # entries are 1/sqrt(5) ~ 0.447: below 1/2 (s=1), above 1/(2 sqrt 5)
-        assert sdp_sign_recover(sol, 1).s_hat == 0
+    def test_flat_vector_keeps_exactly_s_signs(self):
+        sol = _solution_from_z(np.full((5, 5), 0.2))
+        # entries are 1/sqrt(5) up to rounding; top-s rounding keeps s of them
+        assert sdp_sign_recover(sol, 1).s_hat == 1
         np.testing.assert_array_equal(sdp_sign_recover(sol, 5).signs, np.ones(5, dtype=np.int8))
+        # both entries of the 2 x 2 flat vector are exactly 1/sqrt(2): the tie goes to index 0
+        tied = _solution_from_z(np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(sdp_sign_recover(tied, 1).signs, [1, 0])
+
+    def test_keeps_the_s_largest_magnitudes(self):
+        vec = np.array([0.1, -0.7, 0.0, 0.5, -0.4])
+        vec /= np.linalg.norm(vec)
+        sol = _solution_from_z(np.outer(vec, vec))
+        # -0.7 leads, so orientation flips every sign
+        np.testing.assert_array_equal(sdp_sign_recover(sol, 2).signs, [0, 1, 0, -1, 0])
+        np.testing.assert_array_equal(sdp_sign_recover(sol, 4).signs, [-1, 1, 0, -1, 1])
+
+    def test_exact_zero_entry_keeps_sign_zero(self):
+        vec = np.array([0.8, 0.6, 0.0])
+        sol = _solution_from_z(np.outer(vec, vec))
+        np.testing.assert_array_equal(sdp_sign_recover(sol, 3).signs, [1, 1, 0])
 
     def test_orientation_fixes_global_flip(self):
         vec = np.array([-0.8, 0.6])
@@ -241,6 +256,8 @@ class TestSignRecover:
             sdp_sign_recover(sol.z, 1)
         with pytest.raises(InvalidArgumentError):
             sdp_sign_recover(sol, 0)
+        with pytest.raises(InvalidArgumentError, match="s=1000, p=2"):
+            sdp_sign_recover(sol, 1000)
 
 
 class TestDefaultLambda:
