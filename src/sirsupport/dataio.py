@@ -29,7 +29,7 @@ import numpy as np
 from .dt import _oriented_principal_eigenvector, _top, dt_sir
 from .errors import IngestError, InvalidArgumentError, NumericalError
 from .models import Dataset
-from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
+from .sdp import SdpConfig, default_lambda, sdp_solve
 from .sir import sir_matrix_whitened
 from .version import __version__
 
@@ -234,7 +234,6 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
         raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
     y_idx = header.index(y_column)
     x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
-    width = len(header)
     table = np.concatenate(blocks)
     del blocks  # so the copies below never hold the table three times
     line_nos = np.concatenate(block_line_nos)
@@ -252,12 +251,10 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
         raise IngestError(
             f"{path}: only {table.shape[0]} complete rows after dropping {dropped}; need at least 2"
         )
-    mask = np.ones(width, dtype=bool)
-    mask[y_idx] = False
     return IngestedTable(
         columns=x_names,
         y_column=y_column,
-        x=table[:, mask],
+        x=np.delete(table, y_idx, axis=1),  # a C-ordered copy, so slicing gathers whole rows
         y=table[:, y_idx].copy(),  # a view would keep the whole table alive
         n_dropped=dropped,
     )
@@ -286,8 +283,9 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
     Scores are the diagonal entries of the whitened matrix for "dt" and
     the principal-eigenvector magnitudes of the penalized solution for
     "sdp".  Rows are ranked and the top s selected by the rule of
-    ``dt_sir`` (ties toward the earlier column), so a sign is nonzero
-    exactly on the selected rows, bar an exactly zero eigenvector entry.
+    ``dt_sir`` (ties toward the earlier column).  A selected row's sign
+    is ``dt_sir``'s for "dt" and its eigenvector entry's for "sdp", as
+    ``sdp_sign_recover`` gives it; every other row's is 0.
     The whitened fit needs n > p and raises ``RankDeficientError`` otherwise.
     """
     if method not in RECOVER_METHODS:
@@ -302,17 +300,19 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
         signs = dt_sir(v, int(s)).signs
     else:
         sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, int(s))))
-        scores = np.abs(_oriented_principal_eigenvector(sol.z))
-        signs = sdp_sign_recover(sol, int(s)).signs
+        vec = _oriented_principal_eigenvector(sol.z)
+        scores = np.abs(vec)
+        signs = np.sign(vec)
     rows = []
     for rank_minus_one, j in enumerate(_top(scores, p)):
+        selected = rank_minus_one < s
         rows.append(
             RecoveryRow(
                 variable=table.columns[j],
                 score=float(scores[j]),
                 rank=rank_minus_one + 1,
-                selected=rank_minus_one < s,
-                sign=int(signs[j]),
+                selected=selected,
+                sign=int(signs[j]) if selected else 0,
             )
         )
     return RecoveryReport(method=method, s=int(s), h=int(h), rows=tuple(rows))

@@ -76,6 +76,9 @@ class SdpSolution:
 
     ``rank1_gap`` is 1 - (largest eigenvalue of z): zero for an exactly
     rank-one solution, close to one for a maximally spread one.
+
+    ``z`` and ``dual`` are stored as ``as_matrix`` returns them: finite,
+    and a matrix symmetric up to rounding is kept as its exact mirror.
     """
 
     z: np.ndarray
@@ -87,22 +90,16 @@ class SdpSolution:
     duality_gap: float
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 2 or z.shape[0] != z.shape[1]:
-            raise InvalidArgumentError("z must be a square matrix")
-        if not np.array_equal(z, z.T):
-            raise InvalidArgumentError("z must be exactly symmetric")
+        z = as_matrix(self.z, "z")
         if abs(float(np.trace(z)) - 1.0) > 1e-8:
             raise InvalidArgumentError("z must have unit trace (within 1e-8)")
         if float(np.linalg.eigvalsh(z)[0]) < -1e-8:
             raise InvalidArgumentError("z must be positive semidefinite (within 1e-8)")
         if not (-1e-8 <= self.rank1_gap <= 1.0 + 1e-8):
             raise InvalidArgumentError("rank1_gap must lie in [0, 1] (within 1e-8)")
-        dual = np.asarray(self.dual, dtype=float)
+        dual = as_matrix(self.dual, "dual")
         if dual.shape != z.shape:
             raise InvalidArgumentError(f"dual must have the shape of z {z.shape}, got {dual.shape}")
-        if not np.array_equal(dual, dual.T):
-            raise InvalidArgumentError("dual must be exactly symmetric")
         if not np.all(np.abs(dual) <= 1.0):
             raise InvalidArgumentError("dual entries must lie in [-1, 1]")
         object.__setattr__(self, "z", z)

@@ -73,12 +73,13 @@ def _eigh(m: np.ndarray):
 def as_matrix(v, name: str = "matrix") -> np.ndarray:
     """The one gate for a matrix entering an estimator.
 
-    A SirMatrix passes through unchanged: it is finite and exactly
-    symmetric by construction.  A plain array must be square and
+    A SirMatrix passes through unchanged: its constructor already took
+    its matrix through this gate.  Any other array must be square and
     nonempty (else ``InvalidArgumentError``), finite (else
     ``NumericalError``) and symmetric up to rounding, max|a - a'| <=
     1e-10 * max(1, max|a|) (else ``InvalidArgumentError``); its exact
-    mirror is returned.  ``name`` is the argument the messages blame.
+    mirror is returned.  ``SirMatrix`` and ``SdpSolution`` store their
+    matrices through it too.  ``name`` is the argument the messages blame.
     """
     if isinstance(v, SirMatrix):
         return v.v
@@ -114,23 +115,20 @@ class SlicedSample:
 
 @dataclass(frozen=True)
 class SirMatrix:
-    """A finite, exactly symmetric p x p slice-mean moment matrix."""
+    """A finite, exactly symmetric p x p slice-mean moment matrix.
+
+    ``v`` is stored as ``as_matrix(v, "v")`` returns it: a matrix
+    symmetric up to rounding is kept as its exact mirror.
+    """
 
     v: np.ndarray
     mode: str
     h: int
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.size == 0:
-            raise InvalidArgumentError("v must be a nonempty square matrix")
-        if not np.isfinite(v).all():
-            raise NumericalError("v has non-finite entries (NaN or infinity)")
-        if not np.array_equal(v, v.T):
-            raise InvalidArgumentError("v must be exactly symmetric")
         if self.mode not in MODES:
             raise InvalidArgumentError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", as_matrix(self.v, "v"))
 
     @property
     def p(self) -> int:
@@ -183,8 +181,8 @@ def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:
     """Average outer product of the slice means, optionally centered.
 
     ``raw`` returns (1/h) * sum_h mean_h mean_h'; ``centered`` subtracts
-    the grand mean of the slice means first.  The result is mirrored to
-    be exactly symmetric and is positive semidefinite by construction.
+    the grand mean of the slice means first.  ``SirMatrix`` stores the
+    exact mirror; the result is positive semidefinite by construction.
     """
     if mode not in ("raw", "centered"):
         raise InvalidArgumentError(
@@ -194,8 +192,7 @@ def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:
     means = sliced.slice_means
     if mode == "centered":
         means = means - means.mean(axis=0)
-    v = _mirror_upper(means.T @ means / sliced.h)
-    return SirMatrix(v=v, mode=mode, h=sliced.h)
+    return SirMatrix(v=means.T @ means / sliced.h, mode=mode, h=sliced.h)
 
 
 def inv_sqrt_sym(sigma) -> np.ndarray:
@@ -230,5 +227,4 @@ def sir_matrix_whitened(data: Dataset, h: int, seed: int = 0) -> SirMatrix:
     del xc  # free the centred n x p copy before slicing
     w = inv_sqrt_sym(sigma)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v
-    v = _mirror_upper(w @ centered @ w)
-    return SirMatrix(v=v, mode="whitened", h=int(h))
+    return SirMatrix(v=w @ centered @ w, mode="whitened", h=int(h))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sirsupport.dt
 from sirsupport.curves import CurveConfig, run_curve, stability_diagnostic
 from sirsupport.dataio import (
     CURVE_HEADER,
@@ -175,6 +176,18 @@ class TestRecoverReal:
             for row in recover_real(table, s=5, method=method).rows:
                 assert (row.sign != 0) == (row.selected and row.score != 0), (seed, row)
 
+    def test_sdp_decomposes_the_solution_once(self, table, monkeypatch):
+        calls = []
+        eigh = sirsupport.dt._eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(sirsupport.dt, "_eigh", counting_eigh)
+        recover_real(table, s=3, method="sdp")
+        assert calls == [(20, 20)]
+
     def test_ranks_are_a_permutation(self, table):
         report = recover_real(table, s=3)
         assert sorted(r.rank for r in report.rows) == list(range(1, 21))
@@ -243,6 +256,20 @@ class TestDatasetCsvRoundTrip:
         table = ingest_csv(path, "y")
         assert table.x.tobytes() == x.tobytes()
         assert table.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("method", ["dt", "sdp"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_round_trip_changes_no_recovery(self, tmp_path, seed, method):
+        model = ModelSpec(link="atan2", noise_sd=1.0)
+        beta = generate_beta(p=50, s=5, scheme="fixed", seed=0)
+        data = sample_sim(model, beta, n=400, seed=seed)
+        path = tmp_path / "sim.csv"
+        emit_dataset_csv(data, path)
+        columns = tuple(f"x{j + 1}" for j in range(50))
+        direct = IngestedTable(columns=columns, y_column="y", x=data.x, y=data.y, n_dropped=0)
+        for name, table in (("ingested", ingest_csv(path, "y")), ("direct", direct)):
+            emit_recovery_csv(recover_real(table, s=5, method=method), tmp_path / f"{name}.csv")
+        assert (tmp_path / "ingested.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
 
 class TestDiagnosticCsv:

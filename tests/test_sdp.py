@@ -113,6 +113,22 @@ class TestSdpSolutionValidation:
         with pytest.raises(InvalidArgumentError, match="dual"):
             _solution_from_z(np.eye(2) / 2.0, rank1_gap=0.5, dual=dual)
 
+    @pytest.mark.parametrize("field", ["z", "dual"])
+    def test_stores_the_exact_mirror(self, field):
+        # asymmetric by 1e-13, within the gate's rounding tolerance
+        near = np.array([[0.5, 0.1], [0.1 + 1e-13, 0.5]])
+        matrices = {"z": np.eye(2) / 2.0, "dual": np.zeros((2, 2)), field: near}
+        sol = _solution_from_z(matrices["z"], rank1_gap=0.4, dual=matrices["dual"])
+        stored = getattr(sol, field)
+        assert stored.tobytes() == np.array([[0.5, 0.1], [0.1, 0.5]]).tobytes()
+
+    @pytest.mark.parametrize("field", ["z", "dual"])
+    def test_non_finite_matrix_is_a_numerical_error(self, field):
+        matrices = {"z": np.eye(2) / 2.0, "dual": np.zeros((2, 2)),
+                    field: np.array([[0.5, np.nan], [np.nan, 0.5]])}
+        with pytest.raises(NumericalError, match=f"{field} has non-finite"):
+            _solution_from_z(matrices["z"], rank1_gap=0.5, dual=matrices["dual"])
+
 
 class TestSolveHandExamples:
     def test_no_penalty_picks_top_eigendirection(self):

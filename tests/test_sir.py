@@ -125,6 +125,12 @@ class TestSirMatrix:
     def test_modes_tuple(self):
         assert MODES == ("raw", "centered", "whitened")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wrapper_stores_the_exact_mirror(self, mode):
+        # asymmetric by 1e-13, within the gate's rounding tolerance
+        v = SirMatrix(v=np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]]), mode=mode, h=2)
+        assert v.v.tobytes() == np.array([[1.0, 2.0], [2.0, 3.0]]).tobytes()
+
 
 def _special_entries(p: int, layout: str) -> np.ndarray:
     """A p x p matrix with signed zeros, NaNs and infinities in both triangles."""
