@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dt import SignedSupport, dt_sir, signed_support_match
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError, _check_int, _check_real
 from .models import BETA_SCHEMES, Dataset, ModelSpec, _index_pairs, generate_beta, sample_sim
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
 from .sir import MODES, sir_matrix, sir_matrix_whitened, slice_data
@@ -53,9 +53,7 @@ def _resolve_sparsity(p: int, sparsity) -> int:
         raise InvalidArgumentError(
             f"sparsity must be an integer or one of {SPARSITY_RULES}, got {sparsity!r}"
         )
-    if isinstance(sparsity, (int, np.integer)):
-        return int(sparsity)
-    raise InvalidArgumentError(f"sparsity must be an integer or one of {SPARSITY_RULES}")
+    return _check_int(sparsity, "sparsity", 1)
 
 
 @dataclass(frozen=True)
@@ -83,34 +81,25 @@ class CurveConfig:
     def __post_init__(self):
         if not isinstance(self.model, ModelSpec):
             raise InvalidArgumentError("model must be a ModelSpec")
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= 3):
-            raise InvalidArgumentError(f"p must be an integer >= 3, got {self.p}")
+        _check_int(self.p, "p", 3)
         s = _resolve_sparsity(self.p, self.sparsity)
-        if not (1 <= s <= self.p - 2):
-            raise InvalidArgumentError(
-                f"resolved sparsity s={s} must satisfy 1 <= s <= p - 2 (p={self.p})"
-            )
-        grid = tuple(float(g) for g in self.gamma_grid)
+        if s > self.p - 2:
+            raise InvalidArgumentError(f"resolved sparsity s={s} must satisfy s <= p - 2 (p={self.p})")
+        grid = tuple(_check_real(g, "gamma") for g in self.gamma_grid)
         if len(grid) == 0:
             raise InvalidArgumentError("gamma_grid must be nonempty")
-        if not all(0 <= g < math.inf for g in grid):
-            raise InvalidArgumentError(f"gamma values must be finite and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidArgumentError("gamma_grid must be strictly increasing")
         if self.method not in METHODS:
             raise InvalidArgumentError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.beta_scheme not in BETA_SCHEMES:
             raise InvalidArgumentError(f"beta_scheme must be one of {BETA_SCHEMES}")
-        if not (isinstance(self.h, (int, np.integer)) and self.h >= 2):
-            raise InvalidArgumentError(f"h must be an integer >= 2, got {self.h}")
-        if not (isinstance(self.reps, (int, np.integer)) and self.reps >= 1):
-            raise InvalidArgumentError(f"reps must be a positive integer, got {self.reps}")
+        _check_int(self.h, "h", 2)
+        _check_int(self.reps, "reps", 1)
         if self.estimator_mode not in MODES:
             raise InvalidArgumentError(f"unknown estimator_mode {self.estimator_mode!r}")
-        if self.sdp_lambda is not None and not (0 <= self.sdp_lambda < math.inf):
-            raise InvalidArgumentError(
-                f"sdp_lambda must be a finite nonnegative real or None, got {self.sdp_lambda}"
-            )
+        if self.sdp_lambda is not None:
+            _check_real(self.sdp_lambda, "sdp_lambda")
         object.__setattr__(self, "gamma_grid", grid)
 
     @property
@@ -228,9 +217,7 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     A custom link must then be picklable; otherwise InvalidArgumentError
     is raised before any worker starts.
     """
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise InvalidArgumentError(f"workers must be a positive integer, got {workers}")
-    workers = int(workers)
+    workers = _check_int(workers, "workers", 1)
     ns = [gamma_to_n(gamma, cfg.s, cfg.p) for gamma in cfg.gamma_grid]
     run = [gi for gi, n in enumerate(ns)
            if not (n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p))]
@@ -293,11 +280,10 @@ def stability_diagnostic(
 
     Requires every H >= 2 and mc_n >= 1000 * max(h_grid).
     """
-    h_grid = tuple(int(h) for h in h_grid)
+    h_grid = tuple(_check_int(h, "H", 2) for h in h_grid)
     if len(h_grid) == 0:
         raise InvalidArgumentError("h_grid must be nonempty")
-    if any(h < 2 for h in h_grid):
-        raise InvalidArgumentError(f"every H must be >= 2, got {h_grid}")
+    mc_n = _check_int(mc_n, "mc_n", 1)
     if mc_n < 1000 * max(h_grid):
         raise InvalidArgumentError(
             f"mc_n={mc_n} is too small: need mc_n >= 1000 * max(h_grid) = {1000 * max(h_grid)}"

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dt import _oriented_principal_eigenvector, _top, dt_sir
-from .errors import IngestError, InvalidArgumentError, NumericalError
+from .errors import IngestError, InvalidArgumentError, NumericalError, _check_int
 from .models import Dataset
 from .sdp import SdpConfig, default_lambda, sdp_solve
 from .sir import sir_matrix_whitened
@@ -291,15 +291,16 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
     if method not in RECOVER_METHODS:
         raise InvalidArgumentError(f"method must be one of {RECOVER_METHODS}, got {method!r}")
     p = table.p
-    if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
+    s = _check_int(s, "s", 1)
+    if s > p:
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
     data = Dataset(x=table.x, y=table.y, seed_provenance={"source": "ingested"})
     v = sir_matrix_whitened(data, h, seed)
     if method == "dt":
         scores = np.diag(v.v).copy()
-        signs = dt_sir(v, int(s)).signs
+        signs = dt_sir(v, s).signs
     else:
-        sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, int(s))))
+        sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, s)))
         vec = _oriented_principal_eigenvector(sol.z)
         scores = np.abs(vec)
         signs = np.sign(vec)
@@ -315,7 +316,7 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
                 sign=int(signs[j]) if selected else 0,
             )
         )
-    return RecoveryReport(method=method, s=int(s), h=int(h), rows=tuple(rows))
+    return RecoveryReport(method=method, s=s, h=int(h), rows=tuple(rows))
 
 
 CURVE_HEADER = "model,p,s,method,mode,H,gamma,n,reps,successes,success_rate,skipped"
@@ -396,55 +397,52 @@ def emit_matrix_csv(m: np.ndarray, path) -> str:
     return _write_lines(path, _row_blocks(m) if len(m) else [""])
 
 
-def _data_rows(path):
-    """(file row counted from 1, cells) for each line that holds a matrix row."""
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
-        for row, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if line:  # an empty line holds no row
-                yield row, line.split(",")
-
-
-def _first_parse_fault(path) -> str | None:
-    """The first faulty row's fault: a change of width, else the first cell ``float`` rejects."""
+def _matrix_rows(path):
+    """(file row from 1, floats) per matrix row; ``ValueError`` names the first parse fault."""
     width = None
-    for row, cells in _data_rows(path):
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            return f"the number of columns changed from {width} to {len(cells)} at row {row}"
-        for col, cell in enumerate(cells, start=1):
-            try:
-                float(cell)
-            except ValueError:
-                return f"non-numeric value {cell.strip()!r} at row {row}, column {col}"
-    return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row, line in enumerate(fh, start=1):
+            cells = line.rstrip("\r\n").split(",")
+            if cells == [""]:  # an empty line holds no row
+                continue
+            width = width or len(cells)
+            if len(cells) != width:
+                raise ValueError(f"the number of columns changed from {width} to {len(cells)} at row {row}")
+            values = []
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"non-numeric value {cell.strip()!r} at row {row}, column {col}") from None
+            yield row, values
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless square numeric matrix.
+    """Read a headerless square numeric matrix, each line once.
 
-    A non-numeric cell (``2#c`` included) or a file without a number
-    (empty, or blank lines only, as a 0 x 0 matrix is written) raises
-    ``IngestError``, and so does a row whose width differs from the
-    first; a NaN or infinite entry raises ``NumericalError``.  Each
+    Cells convert with ``float``, as in ``ingest_csv``.  A row whose width
+    differs from the first, a cell ``float`` rejects (``2#c`` included), a
+    byte that is not UTF-8 text or a file without a number (empty, or
+    blank lines only, as a 0 x 0 matrix is written) raises ``IngestError``;
+    otherwise a NaN or infinite entry raises ``NumericalError``.  Each
     message cites the file row counted from 1, empty lines included.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a file without data is rejected below
-            m = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+        parsed = list(_matrix_rows(path))
+    except UnicodeDecodeError:  # before ValueError, its base class
+        row, byte = _first_non_utf8(path)
+        raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
     except ValueError as exc:
-        raise IngestError(f"{path}: could not parse a numeric matrix: {_first_parse_fault(path) or exc}") from None
-    if m.size == 0:
+        raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
+    if not parsed:
         raise IngestError(f"{path}: file holds no matrix")
+    m = np.array([values for _, values in parsed])
     if m.shape[0] != m.shape[1]:
         raise IngestError(f"{path}: matrix must be square, got shape {m.shape}")
     bad = np.argwhere(~np.isfinite(m))
     if bad.size:
         i, j = bad[0]
-        row = next(itertools.islice(_data_rows(path), i, None))[0]
-        raise NumericalError(f"{path}: non-finite entry {float(m[i, j])} at row {row}, column {j + 1}")
+        raise NumericalError(f"{path}: non-finite entry {float(m[i, j])} at row {parsed[i][0]}, column {j + 1}")
     return m
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_int
 from .sir import _eigh, as_matrix
 
 __all__ = ["SignedSupport", "dt_select", "dt_sir", "signed_support_match"]
@@ -59,7 +59,8 @@ def _top(scores: np.ndarray, s: int) -> np.ndarray:
     DT-SIR, the SDP rounding and ``recover_real`` all select by this rule.
     """
     p = scores.size
-    if not (isinstance(s, (int, np.integer)) and 1 <= s <= p):
+    s = _check_int(s, "s", 1)
+    if s > p:
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
     # a stable sort of the negated scores keeps lower indices first on ties
     return np.argsort(-scores, kind="stable")[:s]

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_int, _check_real
 
 __all__ = [
     "LINK_NAMES",
@@ -88,10 +88,7 @@ class ModelSpec:
             raise InvalidArgumentError(
                 f"unknown link {self.link!r}; expected one of {LINK_NAMES} or 'custom'"
             )
-        if not (0.0 <= self.noise_sd < math.inf):
-            raise InvalidArgumentError(
-                f"noise_sd must be finite and nonnegative, got {self.noise_sd}"
-            )
+        _check_real(self.noise_sd, "noise_sd")
 
     @classmethod
     def custom(cls, fn: Callable, noise_sd: float = 1.0) -> "ModelSpec":
@@ -187,9 +184,8 @@ def generate_beta(p: int, s: int, scheme: str = "fixed", seed: int = 0) -> Spars
     seed : int
         Seed for the random_uniform draw (ignored by "fixed").
     """
-    if not (isinstance(p, (int, np.integer)) and isinstance(s, (int, np.integer))):
-        raise InvalidArgumentError("p and s must be integers")
-    if not (1 <= s <= p):
+    p, s = _check_int(p, "p", 1), _check_int(s, "s", 1)
+    if s > p:
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
     if scheme not in BETA_SCHEMES:
         raise InvalidArgumentError(f"unknown beta scheme {scheme!r}; expected one of {BETA_SCHEMES}")
@@ -213,11 +209,10 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
     The design is drawn first and the noise second from a single PCG64
     stream, so a given seed always yields the same dataset.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidArgumentError(f"n must be a positive integer, got {n}")
+    n = _check_int(n, "n", 1)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((int(n), beta.p))
-    eps = model.noise_sd * rng.standard_normal(int(n))
+    x = rng.standard_normal((n, beta.p))
+    eps = model.noise_sd * rng.standard_normal(n)
     y = model.response(x @ beta.values, eps)
     return Dataset(x=x, y=y, seed_provenance=_provenance(seed, f"gaussian-design/{model.link}"))
 
@@ -225,8 +220,8 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
 def _index_pairs(model: ModelSpec, mc_n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """mc_n scalar pairs (Z, f(Z, eps)), Z and eps drawn in that order from one stream."""
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(int(mc_n))
-    return z, model.response(z, model.noise_sd * rng.standard_normal(int(mc_n)))
+    z = rng.standard_normal(mc_n)
+    return z, model.response(z, model.noise_sd * rng.standard_normal(mc_n))
 
 
 def estimate_cv(
@@ -246,16 +241,15 @@ def estimate_cv(
     Requires mc_n >= 100 * oracle_slices so each slice mean averages at
     least 100 draws.
     """
-    if not (isinstance(oracle_slices, (int, np.integer)) and oracle_slices >= 2):
-        raise InvalidArgumentError(f"oracle_slices must be an integer >= 2, got {oracle_slices}")
-    if mc_n < 100 * oracle_slices:
+    h = _check_int(oracle_slices, "oracle_slices", 2)
+    mc_n = _check_int(mc_n, "mc_n", 1)
+    if mc_n < 100 * h:
         raise InvalidArgumentError(
-            f"mc_n={mc_n} is too small: need mc_n >= 100 * oracle_slices = {100 * oracle_slices}"
+            f"mc_n={mc_n} is too small: need mc_n >= 100 * oracle_slices = {100 * h}"
         )
     z, y = _index_pairs(model, mc_n, seed)
     from .sir import slice_data  # sir imports this module
 
-    h = int(oracle_slices)
     keep = z.size // h * h
     means = slice_data(Dataset(z[:keep, None], y[:keep]), h).slice_means
     return float(np.mean(means**2) - np.mean(means) ** 2)

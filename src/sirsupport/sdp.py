@@ -21,12 +21,11 @@ when the gap it returns meets that bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _check_int, _check_real
 from .dt import SignedSupport, _oriented_principal_eigenvector, _top
 from .sir import _eigh, _mirror_upper, as_matrix
 
@@ -55,12 +54,10 @@ class SdpConfig:
     tol: float = 1e-7
 
     def __post_init__(self):
-        if not (0.0 <= self.lam < math.inf):
-            raise InvalidArgumentError(f"lam must be a finite nonnegative real, got {self.lam}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
-            raise InvalidArgumentError(f"max_iter must be a positive integer, got {self.max_iter}")
-        if not (0.0 < self.tol < math.inf):
-            raise InvalidArgumentError(f"tol must be a finite positive real, got {self.tol}")
+        _check_real(self.lam, "lam")
+        _check_int(self.max_iter, "max_iter", 1)
+        if _check_real(self.tol, "tol") == 0:
+            raise InvalidArgumentError("tol must be positive, got 0")
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,14 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     step = 1.0 / norm if norm > 0 else 1.0
     thr = lam * step
     target = cfg.tol * max(1.0, norm)
-    # the iterates stay exactly symmetric, so each projection skips the
-    # public symmetry check and only mirrors, as that check would
-    z = _project_symmetric(_mirror_upper(step * a))
+    # a and every iterate are exactly symmetric, and so is any elementwise
+    # combination of them, so each projection skips the symmetry check
+    step_a = step * a
+    z = _project_symmetric(step_a)
     w = z.copy()
     u = np.zeros_like(z)
     for it in range(1, cfg.max_iter + 1):
-        z = _project_symmetric(_mirror_upper(w - u + step * a))
+        z = _project_symmetric(w - u + step_a)
         w = _soft(z + u, thr)
         u = u + z - w
         if it % _GAP_EVERY == 0 or it == cfg.max_iter:

@@ -24,6 +24,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NumericalError,
     RankDeficientError,
+    _check_int,
 )
 from .models import Dataset
 
@@ -152,8 +153,7 @@ def slice_data(data: Dataset, h: int, seed: int = 0) -> SlicedSample:
 
     Requires h >= 2 and n >= 2h.
     """
-    if not (isinstance(h, (int, np.integer)) and h >= 2):
-        raise InvalidArgumentError(f"h must be an integer >= 2, got {h}")
+    h = _check_int(h, "h", 2)
     n = data.n
     if n < 2 * h:
         raise InvalidArgumentError(f"need n >= 2h to slice, got n={n}, h={h}")
@@ -174,7 +174,7 @@ def slice_data(data: Dataset, h: int, seed: int = 0) -> SlicedSample:
         # one expression, so each group's rows are freed before the next is gathered
         np.add.reduce(data.x[order[lo * m : hi * m]].reshape(hi - lo, m, p), axis=1, out=means[lo:hi])
     means /= m
-    return SlicedSample(h=int(h), m=int(m), slice_means=means, dropped=int(dropped), order=order)
+    return SlicedSample(h=h, m=int(m), slice_means=means, dropped=int(dropped), order=order)
 
 
 def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:

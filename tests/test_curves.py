@@ -88,11 +88,25 @@ class TestCurveConfig:
             {"gamma_grid": (1.0, float("inf"))},
             {"sdp_lambda": float("inf")},
             {"sdp_lambda": float("nan")},
+            # a bool is not a number, and a string or None is no real
+            {"reps": True},
+            {"sparsity": True},
+            {"gamma_grid": (True,)},
+            {"sdp_lambda": True},
+            {"gamma_grid": ("1.5",)},
+            {"gamma_grid": ("x",)},
+            {"gamma_grid": (None,)},
+            {"sdp_lambda": "0.1"},
         ],
     )
     def test_rejects_bad_settings(self, overrides):
         with pytest.raises(InvalidArgumentError):
             _cfg(**overrides)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = _cfg(p=np.int64(10), sparsity=np.int64(2), gamma_grid=(np.float64(1.5),),
+                   h=np.int64(5), reps=np.int64(4), sdp_lambda=np.float64(0.1))
+        assert (cfg.s, cfg.gamma_grid) == (2, (1.5,))
 
     def test_grid_normalized_to_floats(self):
         cfg = _cfg(gamma_grid=(1, 2))
@@ -171,6 +185,8 @@ class TestRunCurve:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(InvalidArgumentError):
             run_curve(_cfg(), workers=0)
+        with pytest.raises(InvalidArgumentError):
+            run_curve(_cfg(), workers=True)
 
 
 def _no_pool(*args, **kwargs):
@@ -288,6 +304,14 @@ class TestStabilityDiagnostic:
             stability_diagnostic(LINEAR, h_grid=(), mc_n=4000)
         with pytest.raises(InvalidArgumentError):
             stability_diagnostic(LINEAR, h_grid=(1, 4), mc_n=4000)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=(2.5, 4), mc_n=4000)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=("2", 4), mc_n=4000)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=4000.0)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=None)
 
     def test_rejects_small_mc_n(self):
         with pytest.raises(InvalidArgumentError):

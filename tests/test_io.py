@@ -327,7 +327,9 @@ class TestMatrixCsv:
         with pytest.raises(IngestError):
             read_matrix_csv(path)
 
-    @pytest.mark.parametrize(("text", "row"), [("1,2\n3,x\n", 2), ("1,2\n\n3,x\n", 3)])
+    @pytest.mark.parametrize(
+        ("text", "row"), [("1,2\n3,x\n", 2), ("1,2\n\n3,x\n", 3), ("1_0,2\n\n\u0663,x\n", 3)]
+    )
     def test_garbage_cites_the_file_row(self, tmp_path, text, row):
         path = _write(tmp_path / "m.csv", text)
         with pytest.raises(IngestError, match=f"'x' at row {row}, column 2"):
@@ -337,13 +339,20 @@ class TestMatrixCsv:
         ("text", "error", "message"),
         [("1,2\n\n3,nan\n", NumericalError, "non-finite entry nan at row 3, column 2"),
          ("1,2\n\n3,4,5\n", IngestError, "columns changed from 2 to 3 at row 3"),
-         ("1,2\n3,4,5\n6,x\n", IngestError, "columns changed from 2 to 3 at row 2")],
-        ids=["non-finite", "width", "width-before-a-later-cell"],
+         ("1,2\n3,4,5\n6,x\n", IngestError, "columns changed from 2 to 3 at row 2"),
+         ("1,2\n\n1_0,nan\n", NumericalError, "non-finite entry nan at row 3, column 2"),
+         (b"1,2\n\n3,\xff\n", IngestError, "byte 0xff at row 3 is not UTF-8 text")],
+        ids=["non-finite", "width", "width-before-a-later-cell", "underscore-digits", "not-utf8"],
     )
     def test_every_fault_cites_the_file_row(self, tmp_path, text, error, message):
-        path = _write(tmp_path / "m.csv", text)
+        path = tmp_path / "m.csv"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(error, match=f"{message}$"):
             read_matrix_csv(path)
+
+    def test_cells_convert_with_float(self, tmp_path):
+        path = _write(tmp_path / "m.csv", "1_0, 2\n\n\u0663,+4e0\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[10.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("text", ["1,2#junk\n3,4\n", "# a comment\n1,2\n3,4\n"])
     def test_hash_is_not_a_comment(self, tmp_path, text):

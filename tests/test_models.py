@@ -50,6 +50,11 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError, match="finite"):
             ModelSpec(link="linear", noise_sd=noise_sd)
 
+    @pytest.mark.parametrize("noise_sd", [True, None, "1"])
+    def test_non_real_noise_rejected(self, noise_sd):
+        with pytest.raises(InvalidArgumentError, match="noise_sd must be finite"):
+            ModelSpec(link="linear", noise_sd=noise_sd)
+
 
 class TestSparseDirection:
     def test_support_and_signs(self):
@@ -108,6 +113,8 @@ class TestGenerateBeta:
             generate_beta(3, 0, "fixed", 0)
         with pytest.raises(InvalidArgumentError):
             generate_beta(3, 2, "gaussian", 0)
+        with pytest.raises(InvalidArgumentError):
+            generate_beta(5, True)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -151,6 +158,13 @@ class TestSampleSim:
         beta = generate_beta(4, 2, "fixed", 0)
         with pytest.raises(InvalidArgumentError):
             sample_sim(ModelSpec(link="linear"), beta, 0)
+        with pytest.raises(InvalidArgumentError):
+            sample_sim(ModelSpec(link="linear"), beta, True)
+
+    def test_accepts_numpy_scalars(self):
+        beta = generate_beta(np.int64(4), np.int64(2), "fixed", 0)
+        data = sample_sim(ModelSpec(link="linear", noise_sd=np.float64(0.5)), beta, np.int64(9))
+        assert (data.n, data.p) == (9, 4)
 
 
 class TestDataset:
@@ -189,6 +203,8 @@ class TestEstimateCv:
     def test_mc_n_precondition(self):
         with pytest.raises(InvalidArgumentError):
             estimate_cv(ModelSpec(link="linear"), mc_n=500, oracle_slices=1000)
+        with pytest.raises(InvalidArgumentError):
+            estimate_cv(ModelSpec(link="linear"), mc_n=2000.0, oracle_slices=10)
 
     def test_oracle_slices_precondition(self):
         with pytest.raises(InvalidArgumentError):

@@ -74,11 +74,21 @@ class TestSdpConfig:
             {"lam": 0.1, "tol": 0.0},
             {"lam": 0.1, "tol": math.inf},
             {"lam": 0.1, "tol": math.nan},
+            {"lam": None},
+            {"lam": "0.1"},
+            {"lam": True},
+            {"lam": 0.1, "max_iter": True},
+            {"lam": 0.1, "tol": True},
+            {"lam": 0.1, "tol": "1e-7"},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
         with pytest.raises(InvalidArgumentError):
             SdpConfig(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SdpConfig(lam=np.float64(0.1), max_iter=np.int64(5), tol=np.float64(1e-6))
+        assert (cfg.lam, cfg.max_iter, cfg.tol) == (0.1, 5, 1e-6)
 
 
 class TestSdpSolutionValidation:
