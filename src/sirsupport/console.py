@@ -125,7 +125,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
     model(sp)
     sp.add_argument("--beta-scheme", default="fixed")
     sp.add_argument("--method", type=_underscored, default="dt_sir", help="dt-sir or sdp")
-    sp.add_argument("--mode", default="centered", help="raw, centered, or whitened")
+    sp.add_argument("--mode", default="centered", help="raw or centered")
     sp.add_argument("--H", type=int, default=10, help="number of slices")
     sp.add_argument("--gamma-grid", type=_floats, help="comma-separated rescaled sample sizes")
     sp.add_argument("--reps", type=int, default=500, help="replicates per grid point")

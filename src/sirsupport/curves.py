@@ -21,7 +21,7 @@ from .dt import SignedSupport, dt_sir, signed_support_match
 from .errors import InvalidArgumentError, NumericalError, _check_int, _check_real
 from .models import BETA_SCHEMES, Dataset, ModelSpec, _index_pairs, generate_beta, sample_sim
 from .sdp import SdpConfig, default_lambda, sdp_sign_recover, sdp_solve
-from .sir import MODES, sir_matrix, sir_matrix_whitened, slice_data
+from .sir import _SLICE_MODES, sir_matrix, slice_data
 
 __all__ = [
     "METHODS",
@@ -96,8 +96,9 @@ class CurveConfig:
             raise InvalidArgumentError(f"beta_scheme must be one of {BETA_SCHEMES}")
         _check_int(self.h, "h", 2)
         _check_int(self.reps, "reps", 1)
-        if self.estimator_mode not in MODES:
-            raise InvalidArgumentError(f"unknown estimator_mode {self.estimator_mode!r}")
+        _check_int(self.master_seed, "master_seed", 0)
+        if self.estimator_mode not in _SLICE_MODES:
+            raise InvalidArgumentError(f"estimator_mode must be one of {_SLICE_MODES}, got {self.estimator_mode!r}")
         if self.sdp_lambda is not None:
             _check_real(self.sdp_lambda, "sdp_lambda")
         object.__setattr__(self, "gamma_grid", grid)
@@ -112,9 +113,7 @@ class CurvePoint:
     """One grid point of an efficiency curve.
 
     Points with n < 2h are skipped: no replicates run, ``successes`` and
-    ``success_rate`` are None and ``skipped`` is True.  In whitened mode
-    points with n <= p are skipped the same way, because the sample
-    covariance is singular there.
+    ``success_rate`` are None and ``skipped`` is True.
     """
 
     gamma: float
@@ -160,10 +159,7 @@ def _run_replicate(cfg: CurveConfig, point_index: int, rep: int, n: int) -> bool
     s = cfg.s
     beta = generate_beta(cfg.p, s, cfg.beta_scheme, beta_seed)
     data = sample_sim(cfg.model, beta, n, data_seed)
-    if cfg.estimator_mode == "whitened":
-        v = sir_matrix_whitened(data, cfg.h, slice_seed)
-    else:
-        v = sir_matrix(slice_data(data, cfg.h, slice_seed), cfg.estimator_mode)
+    v = sir_matrix(slice_data(data, cfg.h, slice_seed), cfg.estimator_mode)
     truth = SignedSupport(beta.signs())
     if cfg.method == "dt_sir":
         estimate = dt_sir(v, s)
@@ -219,8 +215,7 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     """
     workers = _check_int(workers, "workers", 1)
     ns = [gamma_to_n(gamma, cfg.s, cfg.p) for gamma in cfg.gamma_grid]
-    run = [gi for gi, n in enumerate(ns)
-           if not (n < 2 * cfg.h or (cfg.estimator_mode == "whitened" and n <= cfg.p))]
+    run = [gi for gi, n in enumerate(ns) if n >= 2 * cfg.h]
     if workers == 1 or not run:
         results = [_run_block(cfg, gi, 0, cfg.reps, ns[gi]) for gi in run]
     else:
@@ -283,7 +278,7 @@ def stability_diagnostic(
     h_grid = tuple(_check_int(h, "H", 2) for h in h_grid)
     if len(h_grid) == 0:
         raise InvalidArgumentError("h_grid must be nonempty")
-    mc_n = _check_int(mc_n, "mc_n", 1)
+    mc_n, seed = _check_int(mc_n, "mc_n", 1), _check_int(seed, "seed", 0)
     if mc_n < 1000 * max(h_grid):
         raise InvalidArgumentError(
             f"mc_n={mc_n} is too small: need mc_n >= 1000 * max(h_grid) = {1000 * max(h_grid)}"

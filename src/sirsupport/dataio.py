@@ -26,10 +26,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dt import _oriented_principal_eigenvector, _top, dt_sir
+from .dt import _top, dt_sir
 from .errors import IngestError, InvalidArgumentError, NumericalError, _check_int
 from .models import Dataset
-from .sdp import SdpConfig, default_lambda, sdp_solve
+from .sdp import SdpConfig, _round, default_lambda, sdp_solve
 from .sir import sir_matrix_whitened
 from .version import __version__
 
@@ -297,23 +297,18 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
     data = Dataset(x=table.x, y=table.y, seed_provenance={"source": "ingested"})
     v = sir_matrix_whitened(data, h, seed)
     if method == "dt":
-        scores = np.diag(v.v).copy()
-        signs = dt_sir(v, s).signs
+        scores, signed = np.diag(v.v).copy(), dt_sir(v, s)
     else:
-        sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, s)))
-        vec = _oriented_principal_eigenvector(sol.z)
-        scores = np.abs(vec)
-        signs = np.sign(vec)
+        scores, signed = _round(sdp_solve(v, SdpConfig(lam=default_lambda(v, s))), s)
     rows = []
     for rank_minus_one, j in enumerate(_top(scores, p)):
-        selected = rank_minus_one < s
         rows.append(
             RecoveryRow(
                 variable=table.columns[j],
                 score=float(scores[j]),
                 rank=rank_minus_one + 1,
-                selected=selected,
-                sign=int(signs[j]) if selected else 0,
+                selected=rank_minus_one < s,
+                sign=int(signed.signs[j]),
             )
         )
     return RecoveryReport(method=method, s=s, h=int(h), rows=tuple(rows))

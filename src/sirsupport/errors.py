@@ -54,6 +54,10 @@ def _check_int(value, name: str, lo: int) -> int:
 def _check_real(value, name: str) -> float:
     """``value`` as a float; ``InvalidArgumentError`` unless it is a finite real >= 0."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (real and value >= 0 and math.isfinite(value)):
+    try:
+        ok = real and value >= 0 and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        ok = False
+    if not ok:
         raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value!r}")
     return float(value)

@@ -184,7 +184,7 @@ def generate_beta(p: int, s: int, scheme: str = "fixed", seed: int = 0) -> Spars
     seed : int
         Seed for the random_uniform draw (ignored by "fixed").
     """
-    p, s = _check_int(p, "p", 1), _check_int(s, "s", 1)
+    p, s, seed = _check_int(p, "p", 1), _check_int(s, "s", 1), _check_int(seed, "seed", 0)
     if s > p:
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
     if scheme not in BETA_SCHEMES:
@@ -209,7 +209,7 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
     The design is drawn first and the noise second from a single PCG64
     stream, so a given seed always yields the same dataset.
     """
-    n = _check_int(n, "n", 1)
+    n, seed = _check_int(n, "n", 1), _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, beta.p))
     eps = model.noise_sd * rng.standard_normal(n)
@@ -242,7 +242,7 @@ def estimate_cv(
     least 100 draws.
     """
     h = _check_int(oracle_slices, "oracle_slices", 2)
-    mc_n = _check_int(mc_n, "mc_n", 1)
+    mc_n, seed = _check_int(mc_n, "mc_n", 1), _check_int(seed, "seed", 0)
     if mc_n < 100 * h:
         raise InvalidArgumentError(
             f"mc_n={mc_n} is too small: need mc_n >= 100 * oracle_slices = {100 * h}"

@@ -187,6 +187,18 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     )
 
 
+def _round(sol: SdpSolution, s: int) -> tuple[np.ndarray, SignedSupport]:
+    """``sdp_sign_recover`` from one ``eigh``, with the magnitudes it ranks: (scores, signs)."""
+    if not isinstance(sol, SdpSolution):
+        raise InvalidArgumentError("sol must be an SdpSolution")
+    vec = _oriented_principal_eigenvector(sol.z)
+    scores = np.abs(vec)
+    idx = _top(scores, s)
+    signs = np.zeros(vec.size, dtype=np.int8)
+    signs[idx] = np.sign(vec[idx])
+    return scores, SignedSupport(signs=signs)
+
+
 def sdp_sign_recover(sol: SdpSolution, s: int) -> SignedSupport:
     """Signs of the s largest-magnitude entries of the solution's principal eigenvector.
 
@@ -194,13 +206,7 @@ def sdp_sign_recover(sol: SdpSolution, s: int) -> SignedSupport:
     positive, and its magnitudes are selected as ``dt_sir`` selects the
     diagonal; other coordinates, and a selected exact 0, get sign 0.
     """
-    if not isinstance(sol, SdpSolution):
-        raise InvalidArgumentError("sol must be an SdpSolution")
-    vec = _oriented_principal_eigenvector(sol.z)
-    idx = _top(np.abs(vec), s)
-    signs = np.zeros(vec.size, dtype=np.int8)
-    signs[idx] = np.sign(vec[idx])
-    return SignedSupport(signs=signs)
+    return _round(sol, s)[1]
 
 
 def default_lambda(a, s: int) -> float:

@@ -39,7 +39,8 @@ __all__ = [
     "as_matrix",
 ]
 
-MODES = ("raw", "centered", "whitened")
+_SLICE_MODES = ("raw", "centered")  # sir_matrix's modes, and the modes of an efficiency curve
+MODES = (*_SLICE_MODES, "whitened")
 
 # Design cells (rows x columns) gathered per group when averaging slices:
 # 256 rows at p = 100, never less than one slice.  Sized in cells, not
@@ -153,7 +154,7 @@ def slice_data(data: Dataset, h: int, seed: int = 0) -> SlicedSample:
 
     Requires h >= 2 and n >= 2h.
     """
-    h = _check_int(h, "h", 2)
+    h, seed = _check_int(h, "h", 2), _check_int(seed, "seed", 0)
     n = data.n
     if n < 2 * h:
         raise InvalidArgumentError(f"need n >= 2h to slice, got n={n}, h={h}")
@@ -184,9 +185,9 @@ def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:
     the grand mean of the slice means first.  ``SirMatrix`` stores the
     exact mirror; the result is positive semidefinite by construction.
     """
-    if mode not in ("raw", "centered"):
+    if mode not in _SLICE_MODES:
         raise InvalidArgumentError(
-            f"mode must be 'raw' or 'centered' here, got {mode!r}; "
+            f"mode must be one of {_SLICE_MODES} here, got {mode!r}; "
             "use sir_matrix_whitened for the whitened estimator"
         )
     means = sliced.slice_means

@@ -427,10 +427,12 @@ class TestErrorHandling:
             ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
              "--lambda", "inf"],
             ["sdp-solve", "--matrix", "empty.csv", "--lambda", "0.1"],
+            ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
+             "--mode", "whitened"],
         ],
         ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
              "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda",
-             "sdp-solve-empty"],
+             "sdp-solve-empty", "curve-whitened"],
     )
     def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -97,6 +97,12 @@ class TestCurveConfig:
             {"gamma_grid": ("x",)},
             {"gamma_grid": (None,)},
             {"sdp_lambda": "0.1"},
+            # curves sample an isotropic design, so there is nothing to whiten
+            {"estimator_mode": "whitened"},
+            {"master_seed": -1},
+            {"master_seed": True},
+            {"sdp_lambda": 10**400},
+            {"gamma_grid": (10**400,)},
         ],
     )
     def test_rejects_bad_settings(self, overrides):
@@ -124,16 +130,6 @@ class TestRunCurve:
         assert pt.successes is None and pt.success_rate is None
         assert pt.n == gamma_to_n(0.1, 2, 10)
         assert pt.reps == 3
-
-    def test_whitened_points_with_n_at_most_p_are_skipped(self):
-        # gamma 2.3 gives n = 10 = p: enough for h = 5 slices, too few to whiten
-        cfg = _cfg(gamma_grid=(2.3, 10.0), reps=2, estimator_mode="whitened")
-        low, high = run_curve(cfg).points
-        assert low.n == 10 and low.skipped
-        assert low.successes is None and low.success_rate is None
-        assert high.n > 10 and not high.skipped
-        centered = run_curve(_cfg(gamma_grid=(2.3,), reps=2)).points[0]
-        assert centered.n == 10 and not centered.skipped
 
     def test_generous_sample_recovers_support(self):
         cfg = _cfg(
@@ -219,9 +215,8 @@ def _module_level_link(u, eps):
 
 
 class TestScheduler:
-    # p=10, h=5, whitened: gamma 0.1 gives n=1 < 2h, gamma 2.3 gives n=10 <= p
-    MIXED = dict(gamma_grid=(0.1, 2.3, 4.0, 10.0), reps=7, master_seed=11,
-                 estimator_mode="whitened")
+    # p=10, s=2, h=5: gamma 0.1 and 0.5 give n=1 and n=3 < 2h
+    MIXED = dict(gamma_grid=(0.1, 0.5, 4.0, 10.0), reps=7, master_seed=11)
 
     def test_mixed_skips_identical_for_any_worker_count(self):
         cfg = _cfg(**self.MIXED)
@@ -312,6 +307,10 @@ class TestStabilityDiagnostic:
             stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=4000.0)
         with pytest.raises(InvalidArgumentError):
             stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=None)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=4000, seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            stability_diagnostic(LINEAR, h_grid=(2, 4), mc_n=4000, seed=True)
 
     def test_rejects_small_mc_n(self):
         with pytest.raises(InvalidArgumentError):

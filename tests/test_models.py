@@ -50,7 +50,7 @@ class TestModelSpec:
         with pytest.raises(InvalidArgumentError, match="finite"):
             ModelSpec(link="linear", noise_sd=noise_sd)
 
-    @pytest.mark.parametrize("noise_sd", [True, None, "1"])
+    @pytest.mark.parametrize("noise_sd", [True, None, "1", pytest.param(10**400, id="10**400")])
     def test_non_real_noise_rejected(self, noise_sd):
         with pytest.raises(InvalidArgumentError, match="noise_sd must be finite"):
             ModelSpec(link="linear", noise_sd=noise_sd)
@@ -115,6 +115,12 @@ class TestGenerateBeta:
             generate_beta(3, 2, "gaussian", 0)
         with pytest.raises(InvalidArgumentError):
             generate_beta(5, True)
+        with pytest.raises(InvalidArgumentError):
+            generate_beta(10, 2, "random_uniform", seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            generate_beta(10, 2, "fixed", seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            generate_beta(10, 2, "random_uniform", seed=True)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -160,6 +166,10 @@ class TestSampleSim:
             sample_sim(ModelSpec(link="linear"), beta, 0)
         with pytest.raises(InvalidArgumentError):
             sample_sim(ModelSpec(link="linear"), beta, True)
+        with pytest.raises(InvalidArgumentError):
+            sample_sim(ModelSpec(link="linear"), beta, 10, seed=-3)
+        with pytest.raises(InvalidArgumentError):
+            sample_sim(ModelSpec(link="linear"), beta, 10, seed=True)
 
     def test_accepts_numpy_scalars(self):
         beta = generate_beta(np.int64(4), np.int64(2), "fixed", 0)
@@ -205,6 +215,10 @@ class TestEstimateCv:
             estimate_cv(ModelSpec(link="linear"), mc_n=500, oracle_slices=1000)
         with pytest.raises(InvalidArgumentError):
             estimate_cv(ModelSpec(link="linear"), mc_n=2000.0, oracle_slices=10)
+        with pytest.raises(InvalidArgumentError):
+            estimate_cv(ModelSpec(link="linear"), mc_n=2000, oracle_slices=10, seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            estimate_cv(ModelSpec(link="linear"), mc_n=2000, oracle_slices=10, seed=True)
 
     def test_oracle_slices_precondition(self):
         with pytest.raises(InvalidArgumentError):

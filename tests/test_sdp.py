@@ -80,6 +80,8 @@ class TestSdpConfig:
             {"lam": 0.1, "max_iter": True},
             {"lam": 0.1, "tol": True},
             {"lam": 0.1, "tol": "1e-7"},
+            {"lam": 10**400},
+            {"lam": 0.1, "tol": 10**400},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

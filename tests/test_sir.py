@@ -75,6 +75,11 @@ class TestSliceData:
             slice_data(tiny_dataset(), 1)
         with pytest.raises(InvalidArgumentError):
             slice_data(tiny_dataset(), 3)  # n=4 < 2h=6
+        # n=4 is a multiple of h=2, so no row is dropped and the seed is unused
+        with pytest.raises(InvalidArgumentError):
+            slice_data(tiny_dataset(), 2, seed=-1)
+        with pytest.raises(InvalidArgumentError):
+            slice_data(tiny_dataset(), 2, seed=True)
 
 
 class TestSirMatrix:
