@@ -34,7 +34,7 @@ _MODULE_OF = {
         ("curves", "METHODS CurveConfig CurvePoint EfficiencyCurve StabilityDiagnostic "
                    "gamma_to_n run_curve stability_diagnostic fit_decay_exponent"),
         # data io
-        ("dataio", "IngestedTable RecoveryRow RecoveryReport RunManifest ingest_csv recover_real "
+        ("dataio", "IngestedTable RecoveryRow RecoveryReport ingest_csv recover_real "
                    "emit_curve_csv emit_dataset_csv emit_diagnostic_csv emit_recovery_csv"),
     ]
     for name in names.split()

@@ -16,7 +16,6 @@ import numpy as np
 from .console import main
 from .curves import CurveConfig, run_curve, stability_diagnostic
 from .dataio import (
-    RunManifest,
     _write_json,
     emit_curve_csv,
     emit_dataset_csv,
@@ -26,7 +25,6 @@ from .dataio import (
     ingest_csv,
     read_matrix_csv,
     recover_real,
-    write_manifest,
 )
 from .errors import InvalidArgumentError
 from .models import ModelSpec, generate_beta, sample_sim
@@ -51,19 +49,17 @@ def _write_outputs(args, seed: int | None, artifacts) -> None:
     os.makedirs(args.out, exist_ok=True)
     for name, write in artifacts:
         print(f"wrote {write(os.path.join(args.out, name))}")
-    manifest = RunManifest(
-        command=args.command,
-        config_path=args.config,
-        output_dir=args.out,
-        seed=seed,
-        version=__version__,
-    )
     # a seed of None (sdp-solve) keeps --seed out of the manifest
     skip = {"command", "config"} | ({"seed"} if seed is None else set())
-    effective = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip
+    manifest = {
+        "command": args.command,
+        "config_path": args.config,
+        "output_dir": args.out,
+        "seed": seed,
+        "version": __version__,
+        "config": {k: v for k, v in vars(args).items() if k not in skip},  # tuples write as lists
     }
-    print(f"wrote {write_manifest(manifest, effective, os.path.join(args.out, 'manifest.json'))}")
+    print(f"wrote {_write_json(manifest, os.path.join(args.out, 'manifest.json'))}")
 
 
 def _cmd_simulate(args):

@@ -7,8 +7,8 @@ key is the long flag without its dashes (``noise-sd``, ``gamma-grid``,
 become the command's defaults, so explicit flags always win.  A key in
 the section that names none of the command's options is an error; keys
 inherited from ``[DEFAULT]`` that the command lacks are ignored.  Exit
-codes: 0 on success, 1 on configuration or input-format errors, 2 on
-numerical failures.
+codes: 0 on success, 1 on configuration, input-format or file-system
+errors, 2 on numerical failures.
 """
 
 # No numpy and no estimator layer here: ``--version``, ``--help`` and a bad
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
         run = getattr(cli, "_cmd_" + args.command.replace("-", "_"))
         cli._write_outputs(args, *run(args))
         return 0
-    except (InvalidArgumentError, IngestError, FileNotFoundError, configparser.Error) as exc:
+    except (InvalidArgumentError, IngestError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -143,7 +143,10 @@ def gamma_to_n(gamma: float, s: int, p: int) -> int:
     """Sample size n = ceil(gamma * s * log(p - s)), natural log."""
     if p - s < 1:
         raise InvalidArgumentError(f"need p > s, got p={p}, s={s}")
-    return int(math.ceil(gamma * s * math.log(p - s)))
+    n = gamma * s * math.log(p - s)
+    if not math.isfinite(n):
+        raise InvalidArgumentError(f"gamma={gamma} gives a sample size too large for a float")
+    return int(math.ceil(n))
 
 
 def _replicate_seeds(master_seed: int, point_index: int, rep: int) -> tuple[int, int, int]:

@@ -1,9 +1,11 @@
 """CSV ingestion, real-data recovery reports, and deterministic emitters.
 
-All emitters format floats with ``repr``, which round-trips IEEE
-doubles exactly, uses a decimal point and never a thousands separator.
-Files are written with "\\n" line endings so a rerun with the same
-inputs is byte-identical.
+Every CSV cell is written by one rule, ``_cell``: a float as its
+``repr``, which round-trips IEEE doubles exactly, uses a decimal point
+and never a thousands separator; a bool as true/false; None as an empty
+cell.  Every JSON artifact is written by ``_write_json``.  Files are
+written with "\\n" line endings so a rerun with the same inputs is
+byte-identical.
 
 Both ends of a dataset CSV work in blocks of ``_BLOCK_ROWS`` rows.  The
 dataset and matrix emitters format and write one block at a time, so
@@ -21,7 +23,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,7 +33,6 @@ from .errors import IngestError, InvalidArgumentError, NumericalError, _check_in
 from .models import Dataset
 from .sdp import SdpConfig, _round, default_lambda, sdp_solve
 from .sir import sir_matrix_whitened
-from .version import __version__
 
 if TYPE_CHECKING:
     from .curves import EfficiencyCurve, StabilityDiagnostic
@@ -40,7 +41,6 @@ __all__ = [
     "IngestedTable",
     "RecoveryRow",
     "RecoveryReport",
-    "RunManifest",
     "ingest_csv",
     "recover_real",
     "emit_curve_csv",
@@ -49,7 +49,6 @@ __all__ = [
     "emit_recovery_csv",
     "emit_matrix_csv",
     "read_matrix_csv",
-    "write_manifest",
 ]
 
 RECOVER_METHODS = ("dt", "sdp")
@@ -78,10 +77,6 @@ class IngestedTable:
     @property
     def p(self) -> int:
         return int(self.x.shape[1])
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _cell_is_missing(cell: str) -> bool:
@@ -325,6 +320,22 @@ def _write_lines(path, lines) -> str:
     return str(path)
 
 
+def _cell(value) -> str:
+    """One CSV cell: a float's ``repr``, true/false, empty for None, else ``str``."""
+    if isinstance(value, bool):  # before the numbers: a bool is an int
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):  # float() first: numpy 2 writes repr(np.float64(x)) with its type
+        return repr(float(value))
+    return str(value)
+
+
+def _emit_table(path, header: str, rows) -> str:
+    """Write ``header``, then one comma-joined line of ``_cell``s per row."""
+    return _write_lines(path, itertools.chain([header], (",".join(map(_cell, row)) for row in rows)))
+
+
 def emit_curve_csv(curve: EfficiencyCurve, path) -> str:
     """Write one row per grid point, in gamma order, under a fixed header.
 
@@ -332,20 +343,15 @@ def emit_curve_csv(curve: EfficiencyCurve, path) -> str:
     success_rate.  Re-emitting the same curve is byte-identical.
     """
     cfg = curve.config
-    lines = [CURVE_HEADER]
-    for pt in curve.points:
-        successes = "" if pt.successes is None else str(pt.successes)
-        rate = "" if pt.success_rate is None else _fmt(pt.success_rate)
-        lines.append(
-            f"{cfg.model.link},{cfg.p},{cfg.s},{cfg.method},{cfg.estimator_mode},"
-            f"{cfg.h},{_fmt(pt.gamma)},{pt.n},{pt.reps},{successes},{rate},"
-            f"{'true' if pt.skipped else 'false'}"
-        )
-    return _write_lines(path, lines)
+    head = (cfg.model.link, cfg.p, cfg.s, cfg.method, cfg.estimator_mode, cfg.h)
+    return _emit_table(path, CURVE_HEADER, (
+        (*head, pt.gamma, pt.n, pt.reps, pt.successes, pt.success_rate, pt.skipped)
+        for pt in curve.points
+    ))
 
 
 def _format_rows(m: np.ndarray) -> list[str]:
-    """One comma-joined line of ``repr`` floats per row of a 2-d array."""
+    """One comma-joined line per row of a 2-d array: ``_cell``'s float rule on whole rows."""
     return [",".join(map(repr, row)) for row in np.asarray(m, dtype=float).tolist()]
 
 
@@ -364,26 +370,19 @@ def emit_dataset_csv(data: Dataset, path) -> str:
 
 def emit_diagnostic_csv(diag: StabilityDiagnostic, model_name: str, mc_n: int, path) -> str:
     """Write per-slice variances, one row per (H, slice)."""
-    lines = ["model,mc_n,H,slice,y_lo,y_hi,variance,sum_h,mean_decay"]
-    for h, variances, edges, total, decay in zip(
-        diag.h_grid, diag.per_slice_variances, diag.boundaries, diag.sums, diag.mean_decay
-    ):
-        for k in range(h):
-            lines.append(
-                f"{model_name},{mc_n},{h},{k + 1},{_fmt(edges[k])},{_fmt(edges[k + 1])},"
-                f"{_fmt(variances[k])},{_fmt(total)},{_fmt(decay)}"
-            )
-    return _write_lines(path, lines)
+    return _emit_table(path, "model,mc_n,H,slice,y_lo,y_hi,variance,sum_h,mean_decay", (
+        (model_name, mc_n, h, k + 1, edges[k], edges[k + 1], variances[k], total, decay)
+        for h, variances, edges, total, decay in zip(
+            diag.h_grid, diag.per_slice_variances, diag.boundaries, diag.sums, diag.mean_decay
+        )
+        for k in range(h)
+    ))
 
 
 def emit_recovery_csv(report: RecoveryReport, path) -> str:
-    lines = ["variable,score,rank,selected,sign"]
-    for row in report.rows:
-        lines.append(
-            f"{row.variable},{_fmt(row.score)},{row.rank},"
-            f"{'true' if row.selected else 'false'},{row.sign}"
-        )
-    return _write_lines(path, lines)
+    return _emit_table(path, "variable,score,rank,selected,sign", (
+        (row.variable, row.score, row.rank, row.selected, row.sign) for row in report.rows
+    ))
 
 
 def emit_matrix_csv(m: np.ndarray, path) -> str:
@@ -441,21 +440,7 @@ def read_matrix_csv(path) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What was run: written next to every emitted artifact."""
-
-    command: str
-    config_path: str | None
-    output_dir: str
-    seed: int | None
-    version: str = __version__
-
-
 def _write_json(payload: dict, path) -> str:
     """Write ``payload`` as indented JSON with sorted keys: every JSON artifact's write path."""
     return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
-
-def write_manifest(manifest: RunManifest, effective_config: dict, path) -> str:
-    return _write_json({**asdict(manifest), "config": effective_config}, path)

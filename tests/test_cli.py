@@ -32,6 +32,11 @@ class TestSimulate:
         assert manifest["seed"] == 3
         assert manifest["version"] == __version__
         assert manifest["config"]["p"] == 6
+        assert manifest["config_path"] is None
+        assert set(manifest) == {
+            "command", "config_path", "output_dir", "seed", "version", "config",
+        }
+        assert (out / "manifest.json").read_text().endswith("\n")
         printed = capsys.readouterr().out.splitlines()
         assert printed == [f"wrote {out / 'dataset.csv'}", f"wrote {out / 'manifest.json'}"]
 
@@ -429,10 +434,15 @@ class TestErrorHandling:
             ["sdp-solve", "--matrix", "empty.csv", "--lambda", "0.1"],
             ["curve", "--p", "8", "--sparsity", "2", "--gamma-grid", "8", "--reps", "1",
              "--mode", "whitened"],
+            ["recover", "--data", ".", "--s", "1"],
+            ["sdp-solve", "--matrix", ".", "--lambda", "0.1"],
+            ["recover", "--config", "."],
+            ["curve", "--p", "20", "--sparsity", "2", "--gamma-grid", "1e308", "--reps", "1"],
         ],
         ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
              "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda",
-             "sdp-solve-empty", "curve-whitened"],
+             "sdp-solve-empty", "curve-whitened", "recover-data-dir", "sdp-solve-matrix-dir",
+             "recover-config-dir", "curve-gamma-overflow"],
     )
     def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -441,6 +451,15 @@ class TestErrorHandling:
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.write_text("keep\n")
+        rc = main(["simulate", "--p", "5", "--s", "2", "--n", "20", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "File exists" in err[0]
+        assert out.read_text() == "keep\n"
 
     @pytest.mark.parametrize(
         ("name", "text", "argv"),

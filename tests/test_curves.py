@@ -55,6 +55,10 @@ class TestGammaToN:
             assert n >= gamma * 3 * np.log(47)
             assert n - 1 < gamma * 3 * np.log(47)
 
+    def test_rejects_an_n_beyond_a_float(self):
+        with pytest.raises(InvalidArgumentError, match="too large"):
+            gamma_to_n(1e308, 2, 20)
+
 
 class TestCurveConfig:
     def test_sparsity_rules(self):

@@ -1,14 +1,17 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import sirsupport.dt
-from sirsupport.curves import CurveConfig, run_curve, stability_diagnostic
+from sirsupport.cli import _write_outputs
+from sirsupport.curves import CurveConfig, StabilityDiagnostic, run_curve, stability_diagnostic
 from sirsupport.dataio import (
     CURVE_HEADER,
     IngestedTable,
-    RunManifest,
+    RecoveryReport,
+    RecoveryRow,
     emit_curve_csv,
     emit_dataset_csv,
     emit_diagnostic_csv,
@@ -17,7 +20,6 @@ from sirsupport.dataio import (
     ingest_csv,
     read_matrix_csv,
     recover_real,
-    write_manifest,
 )
 from sirsupport.errors import (
     IngestError,
@@ -287,6 +289,26 @@ class TestDiagnosticCsv:
         assert first[2] == "2" and first[3] == "1"
         assert float(first[4]) <= float(first[5])
 
+    def test_golden_bytes(self, tmp_path):
+        # numpy float64 cells, as stability_diagnostic returns them, written as plain reprs
+        diag = StabilityDiagnostic(
+            h_grid=(2, 3),
+            per_slice_variances=(np.array([0.1 + 0.2, 1e-300]), np.array([0.25, -0.0, 5e-324])),
+            boundaries=(np.array([-2.5, 0.0, 1e16]), np.array([-2.5, -1.0 / 3.0, 1.0 / 3.0, 1e16])),
+            sums=np.array([0.30000000000000004, 0.25]),
+            mean_decay=np.array([0.15000000000000002, 0.08333333333333333]),
+        )
+        path = tmp_path / "diag.csv"
+        assert emit_diagnostic_csv(diag, "sinh", 4000, path) == str(path)
+        assert path.read_bytes() == (
+            b"model,mc_n,H,slice,y_lo,y_hi,variance,sum_h,mean_decay\n"
+            b"sinh,4000,2,1,-2.5,0.0,0.30000000000000004,0.30000000000000004,0.15000000000000002\n"
+            b"sinh,4000,2,2,0.0,1e+16,1e-300,0.30000000000000004,0.15000000000000002\n"
+            b"sinh,4000,3,1,-2.5,-0.3333333333333333,0.25,0.25,0.08333333333333333\n"
+            b"sinh,4000,3,2,-0.3333333333333333,0.3333333333333333,-0.0,0.25,0.08333333333333333\n"
+            b"sinh,4000,3,3,0.3333333333333333,1e+16,5e-324,0.25,0.08333333333333333\n"
+        )
+
 
 class TestRecoveryCsv:
     def test_layout(self, tmp_path):
@@ -300,6 +322,21 @@ class TestRecoveryCsv:
         assert lines[0] == "variable,score,rank,selected,sign"
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "1"
+
+    def test_golden_bytes(self, tmp_path):
+        report = RecoveryReport(method="sdp", s=2, h=3, rows=(
+            RecoveryRow(variable="x2", score=np.float64(0.1 + 0.2), rank=1, selected=True, sign=-1),
+            RecoveryRow(variable="a b", score=1e16, rank=2, selected=True, sign=1),
+            RecoveryRow(variable="x1", score=-0.0, rank=3, selected=False, sign=0),
+        ))
+        path = tmp_path / "rec.csv"
+        assert emit_recovery_csv(report, path) == str(path)
+        assert path.read_bytes() == (
+            b"variable,score,rank,selected,sign\n"
+            b"x2,0.30000000000000004,1,true,-1\n"
+            b"a b,1e+16,2,true,1\n"
+            b"x1,-0.0,3,false,0\n"
+        )
 
 
 class TestMatrixCsv:
@@ -362,19 +399,18 @@ class TestMatrixCsv:
 
 
 class TestManifest:
-    def test_written_payload(self, tmp_path):
-        manifest = RunManifest(
-            command="curve", config_path=None, output_dir=str(tmp_path), seed=5
-        )
+    def test_written_payload(self, tmp_path, capsys):
+        args = argparse.Namespace(command="curve", config=None, out=str(tmp_path), p=10, reps=3)
+        _write_outputs(args, 5, [])
         path = tmp_path / "manifest.json"
-        write_manifest(manifest, {"p": 10, "reps": 3}, path)
         payload = json.loads(path.read_text())
         assert payload["command"] == "curve"
         assert payload["config_path"] is None
         assert payload["seed"] == 5
         assert payload["version"] == __version__
-        assert payload["config"] == {"p": 10, "reps": 3}
+        assert payload["config"] == {"out": str(tmp_path), "p": 10, "reps": 3}
         assert set(payload) == {
             "command", "config_path", "output_dir", "seed", "version", "config",
         }
         assert path.read_text().endswith("\n")
+        assert capsys.readouterr().out.splitlines() == [f"wrote {path}"]
