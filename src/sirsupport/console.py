@@ -20,7 +20,7 @@ import argparse
 import configparser
 import sys
 
-from .errors import IngestError, InvalidArgumentError, NumericalError, SirSupportError
+from .errors import IngestError, InvalidArgumentError, NumericalError, SirSupportError, _first_non_utf8
 from .version import __version__
 
 
@@ -68,18 +68,21 @@ def _sparsity(text: str) -> int | str:
 
 
 def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> dict[str, str]:
-    """The command's section of an INI file, keyed by option dest.
+    """The command's section of a UTF-8 INI file, keyed by option dest.
 
     A key is a long flag without its dashes.  configparser lower-cases
     keys, so they match flags case-insensitively.  A key the section
     sets itself must name an option; one it inherits from [DEFAULT] and
-    the command lacks is ignored.
+    the command lacks is ignored.  Without a section for the command,
+    [DEFAULT] alone applies.
     """
     ini = configparser.ConfigParser()
-    with open(path) as fh:
-        ini.read_file(fh)
-    if not ini.has_section(section):
-        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except UnicodeDecodeError:
+        raise InvalidArgumentError(_first_non_utf8(path)) from None
+    items = ini.items(section) if ini.has_section(section) else ini.defaults().items()
     dests = {
         flag[2:].lower(): action.dest
         for action in command._actions
@@ -87,7 +90,7 @@ def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> 
         if flag.startswith("--") and action.dest not in ("help", "config")
     }
     defaults = {}
-    for key, value in ini.items(section):
+    for key, value in items:
         if key in dests:
             defaults[dests[key]] = value
         elif key not in ini.defaults():

@@ -251,16 +251,19 @@ class StabilityDiagnostic:
 
     For each H in ``h_grid``: ``per_slice_variances`` holds the H
     estimated variances Var[m(Y) | slice], ``boundaries`` the H + 1
-    response values cutting the slices, ``sums`` their total, and
-    ``mean_decay`` = sums / H.  A decaying mean_decay over growing H is
-    what makes slicing informative at all.
+    response values cutting the slices, and ``sums`` their total.
+    ``mean_decay`` = sums / H is derived from them.  A decaying
+    mean_decay over growing H is what makes slicing informative at all.
     """
 
     h_grid: tuple[int, ...]
     per_slice_variances: tuple[np.ndarray, ...]
     boundaries: tuple[np.ndarray, ...]
     sums: np.ndarray
-    mean_decay: np.ndarray
+
+    @property
+    def mean_decay(self) -> np.ndarray:
+        return self.sums / np.array(self.h_grid, dtype=float)
 
 
 def stability_diagnostic(
@@ -301,13 +304,11 @@ def stability_diagnostic(
         edges[1:h] = ys[np.arange(1, h) * (sliced.m * INNER_RESOLUTION)]
         edges[h] = ys[-1]
         boundaries.append(edges)
-    sums = np.array([v.sum() for v in variances])
     return StabilityDiagnostic(
         h_grid=h_grid,
         per_slice_variances=tuple(variances),
         boundaries=tuple(boundaries),
-        sums=sums,
-        mean_decay=sums / np.array(h_grid, dtype=float),
+        sums=np.array([v.sum() for v in variances]),
     )
 
 

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dt import _top, dt_sir
-from .errors import IngestError, InvalidArgumentError, NumericalError, _check_int
+from .errors import IngestError, InvalidArgumentError, NumericalError, _check_int, _first_non_utf8
 from .models import Dataset
 from .sdp import SdpConfig, _round, default_lambda, sdp_solve
 from .sir import sir_matrix_whitened
@@ -185,23 +185,6 @@ def _read_blocks(path, y_column: str):
     return header, blocks, block_line_nos
 
 
-def _first_non_utf8(path) -> tuple[int, int]:
-    """Row number (the header is row 1) and value of the first byte that is not UTF-8.
-
-    Lines are split as the text reader splits them; a UTF-8 sequence never
-    holds a line-break byte, so the first line that fails to decode alone
-    holds the byte the reader stopped at.
-    """
-    with open(path, newline="", encoding="latin-1") as fh:
-        for row, line in enumerate(fh, start=1):
-            raw = line.encode("latin-1")
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return row, raw[exc.start]
-    raise AssertionError(f"{path} decodes as UTF-8 line by line")  # pragma: no cover
-
-
 def ingest_csv(path, y_column: str) -> IngestedTable:
     """Read a headed CSV of numbers, dropping rows with missing values.
 
@@ -225,8 +208,7 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
     try:
         header, blocks, block_line_nos = _read_blocks(path, y_column)
     except UnicodeDecodeError:
-        row, byte = _first_non_utf8(path)
-        raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
+        raise IngestError(_first_non_utf8(path)) from None
     y_idx = header.index(y_column)
     x_names = tuple(name for j, name in enumerate(header) if j != y_idx)
     table = np.concatenate(blocks)
@@ -424,8 +406,7 @@ def read_matrix_csv(path) -> np.ndarray:
     try:
         parsed = list(_matrix_rows(path))
     except UnicodeDecodeError:  # before ValueError, its base class
-        row, byte = _first_non_utf8(path)
-        raise IngestError(f"{path}: byte 0x{byte:02x} at row {row} is not UTF-8 text") from None
+        raise IngestError(_first_non_utf8(path)) from None
     except ValueError as exc:
         raise IngestError(f"{path}: could not parse a numeric matrix: {exc}") from None
     if not parsed:
@@ -441,6 +422,6 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def _write_json(payload: dict, path) -> str:
-    """Write ``payload`` as indented JSON with sorted keys: every JSON artifact's write path."""
-    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    """Every JSON artifact's write path: indented, keys sorted, NaN and infinity refused."""
+    return _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)])
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the scalar gates.
+"""Exception types shared across the package, the scalar gates, and the
+message that cites a byte that is not UTF-8.
 
 The CLI maps these onto exit codes: argument and input-format problems
 exit with 1, numerical failures with 2.
@@ -61,3 +62,21 @@ def _check_real(value, name: str) -> float:
     if not ok:
         raise InvalidArgumentError(f"{name} must be finite and nonnegative, got {value!r}")
     return float(value)
+
+
+def _first_non_utf8(path) -> str:
+    """The message naming the first byte of ``path`` that is not UTF-8, and its row.
+
+    Rows count from 1 (a CSV header is row 1).  Lines are split as the
+    text reader splits them; a UTF-8 sequence never holds a line-break
+    byte, so the first line that fails to decode alone holds the byte the
+    reader stopped at.
+    """
+    with open(path, newline="", encoding="latin-1") as fh:
+        for row, line in enumerate(fh, start=1):
+            raw = line.encode("latin-1")
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"{path}: byte 0x{raw[exc.start]:02x} at row {row} is not UTF-8 text"
+    raise AssertionError(f"{path} decodes as UTF-8 line by line")  # pragma: no cover

@@ -21,11 +21,12 @@ when the gap it returns meets that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _check_int, _check_real
+from .errors import InvalidArgumentError, NumericalError, _check_int, _check_real
 from .dt import SignedSupport, _oriented_principal_eigenvector, _top
 from .sir import _eigh, _mirror_upper, as_matrix
 
@@ -67,12 +68,15 @@ class SdpSolution:
     ``dual`` is a symmetric matrix with entries in [-1, 1], and
     ``duality_gap`` = lambda_max(A - lam * dual) - objective.  Weak
     duality makes the first term an upper bound on the optimal value, so
-    the objective is within ``duality_gap`` of the optimum.  ``converged``
-    is True exactly when ``duality_gap`` <= tol * max(1, ||A||); these
-    are the dual and gap the solver stopped on.
+    the objective is within ``duality_gap`` of the optimum.
+    ``tolerance`` is the gap bound the solve was held to, tol * max(1,
+    ||A||), and ``converged`` is derived from the two: True exactly when
+    ``duality_gap`` <= ``tolerance``.  A non-finite objective, gap or
+    tolerance proves nothing and raises ``NumericalError``.
 
-    ``rank1_gap`` is 1 - (largest eigenvalue of z): zero for an exactly
-    rank-one solution, close to one for a maximally spread one.
+    ``rank1_gap`` is derived from ``z``: 1 - (largest eigenvalue of z),
+    zero for an exactly rank-one solution, close to one for a maximally
+    spread one.
 
     ``z`` and ``dual`` are stored as ``as_matrix`` returns them: finite,
     and a matrix symmetric up to rounding is kept as its exact mirror.
@@ -81,19 +85,22 @@ class SdpSolution:
     z: np.ndarray
     objective: float
     iterations: int
-    converged: bool
-    rank1_gap: float
     dual: np.ndarray
     duality_gap: float
+    tolerance: float
+    rank1_gap: float = field(init=False)
 
     def __post_init__(self):
+        for name in ("objective", "duality_gap", "tolerance"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise NumericalError(f"{name} is {value}, so the solution has no certificate")
         z = as_matrix(self.z, "z")
         if abs(float(np.trace(z)) - 1.0) > 1e-8:
             raise InvalidArgumentError("z must have unit trace (within 1e-8)")
-        if float(np.linalg.eigvalsh(z)[0]) < -1e-8:
+        eigenvalues = np.linalg.eigvalsh(z)
+        if float(eigenvalues[0]) < -1e-8:
             raise InvalidArgumentError("z must be positive semidefinite (within 1e-8)")
-        if not (-1e-8 <= self.rank1_gap <= 1.0 + 1e-8):
-            raise InvalidArgumentError("rank1_gap must lie in [0, 1] (within 1e-8)")
         dual = as_matrix(self.dual, "dual")
         if dual.shape != z.shape:
             raise InvalidArgumentError(f"dual must have the shape of z {z.shape}, got {dual.shape}")
@@ -101,6 +108,11 @@ class SdpSolution:
             raise InvalidArgumentError("dual entries must lie in [-1, 1]")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "rank1_gap", min(max(1.0 - float(eigenvalues[-1]), 0.0), 1.0))
+
+    @property
+    def converged(self) -> bool:
+        return self.duality_gap <= self.tolerance
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -144,20 +156,19 @@ def sdp_solve(a, cfg: SdpConfig) -> SdpSolution:
     ``a`` is anything ``as_matrix`` accepts.  The returned iterate is
     always feasible, and ``duality_gap`` bounds its distance to the
     optimum; ``converged`` reports whether that gap met the tolerance
-    within ``max_iter`` iterations.
+    within ``max_iter`` iterations.  A spectral norm of ``a`` that
+    overflows a float raises ``NumericalError`` before any iteration.
     """
-    mat = as_matrix(a)
+    a = as_matrix(a)
     if not isinstance(cfg, SdpConfig):
         raise InvalidArgumentError("cfg must be an SdpConfig")
-    return _solve_splitting(mat, cfg)
-
-
-def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
     lam = cfg.lam
     norm = float(np.abs(np.linalg.eigvalsh(a)[[0, -1]]).max())  # the spectral norm
+    if not math.isfinite(norm):
+        raise NumericalError(f"the spectral norm of the matrix is not finite ({norm})")
     step = 1.0 / norm if norm > 0 else 1.0
     thr = lam * step
-    target = cfg.tol * max(1.0, norm)
+    tolerance = cfg.tol * max(1.0, norm)
     # a and every iterate are exactly symmetric, and so is any elementwise
     # combination of them, so each projection skips the symmetry check
     step_a = step * a
@@ -169,22 +180,22 @@ def _solve_splitting(a: np.ndarray, cfg: SdpConfig) -> SdpSolution:
         w = _soft(z + u, thr)
         u = u + z - w
         if it % _GAP_EVERY == 0 or it == cfg.max_iter:
-            objective = float(np.vdot(a, z) - lam * np.abs(z).sum())
             # u = clip(z + u, -thr, thr) after every update, so the scaled
             # dual sits in [-1, 1]; the clip only removes rounding
             dual = np.clip(u / thr, -1.0, 1.0) if thr > 0 else np.zeros_like(z)
-            gap = float(np.linalg.eigvalsh(a - lam * dual)[-1]) - objective
-            if gap <= target:
+            # near the top of the float range these can overflow; an overflowed
+            # bound proves nothing (LAPACK may not even converge on it), so the
+            # gap stays infinite and SdpSolution refuses it
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective = float(np.vdot(a, z) - lam * np.abs(z).sum())
+                upper = a - lam * dual
+            gap = math.inf
+            if np.isfinite(upper).all():
+                gap = float(np.linalg.eigvalsh(upper)[-1]) - objective
+            if gap <= tolerance or not math.isfinite(gap):
                 break
-    return SdpSolution(
-        z=z,
-        objective=objective,
-        iterations=it,
-        converged=gap <= target,
-        rank1_gap=min(max(1.0 - float(np.linalg.eigvalsh(z)[-1]), 0.0), 1.0),
-        dual=dual,
-        duality_gap=gap,
-    )
+    return SdpSolution(z=z, objective=objective, iterations=it, dual=dual,
+                       duality_gap=gap, tolerance=tolerance)
 
 
 def _round(sol: SdpSolution, s: int) -> tuple[np.ndarray, SignedSupport]:

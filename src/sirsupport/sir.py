@@ -125,7 +125,6 @@ class SirMatrix:
 
     v: np.ndarray
     mode: str
-    h: int
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -193,7 +192,7 @@ def sir_matrix(sliced: SlicedSample, mode: str = "centered") -> SirMatrix:
     means = sliced.slice_means
     if mode == "centered":
         means = means - means.mean(axis=0)
-    return SirMatrix(v=means.T @ means / sliced.h, mode=mode, h=sliced.h)
+    return SirMatrix(v=means.T @ means / sliced.h, mode=mode)
 
 
 def inv_sqrt_sym(sigma) -> np.ndarray:
@@ -228,4 +227,4 @@ def sir_matrix_whitened(data: Dataset, h: int, seed: int = 0) -> SirMatrix:
     del xc  # free the centred n x p copy before slicing
     w = inv_sqrt_sym(sigma)
     centered = sir_matrix(slice_data(data, h, seed), mode="centered").v
-    return SirMatrix(v=w @ centered @ w, mode="whitened", h=int(h))
+    return SirMatrix(v=w @ centered @ w, mode="whitened")

@@ -211,6 +211,30 @@ class TestSdpSolve:
         assert rc == 1
         assert "2#junk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("text", "penalty"),
+        [("1e308,1e308\n1e308,1e308\n", ["--lambda", "0"]),
+         ("1e308,1e308\n1e308,1e308\n", ["--lambda", "1e308"]),
+         ("-1e308,0\n0,-1e308\n", ["--lambda", "1e308"])],
+        ids=["norm-overflow", "norm-overflow-penalty", "objective-overflow"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_diagnostics_are_strict_json(self, tmp_path, text, penalty):
+        # a solve whose numbers overflow either writes finite diagnostics or
+        # exits 2 and writes nothing; JSON has no NaN or Infinity
+        path = tmp_path / "a.csv"
+        path.write_text(text)
+        out = tmp_path / "run"
+        rc = main(["sdp-solve", "--matrix", str(path), *penalty, "--out", str(out)])
+        if rc == 0:
+            json.loads((out / "diagnostics.json").read_text(), parse_constant=_refuse_constant)
+        else:
+            assert rc == 2 and not out.exists()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"diagnostics.json holds {name}, which is not JSON")
+
 
 class TestConfigFile:
     def test_ini_supplies_options(self, tmp_path):
@@ -273,6 +297,24 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert main(["diagnose", "--config", str(ini), "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["seed"] == 4
+
+    def test_default_section_alone_applies(self, tmp_path):
+        # mc-n names no simulate option, so it is ignored as in a file with sections
+        ini = tmp_path / "run.ini"
+        ini.write_text("[DEFAULT]\nseed = 3\nmc-n = 4000\n")
+        out = tmp_path / "run"
+        argv = ["simulate", "--config", str(ini), "--p", "6", "--s", "2", "--n", "20"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+    def test_non_utf8_byte_exits_one(self, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(b"[recover]\ns = \xff\n")
+        rc = main(["recover", "--config", str(ini), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {ini}: byte 0xff at row 2 is not UTF-8 text"]
+        assert not (tmp_path / "run").exists()
 
     def test_bad_ini_value_names_the_flag(self, tmp_path, capsys):
         ini = tmp_path / "run.ini"
@@ -473,9 +515,11 @@ class TestErrorHandling:
              ["recover", "--data", "big.csv", "--s", "2", "--method", "dt"]),
             ("big.csv", _overflowing_csv(),
              ["recover", "--data", "big.csv", "--s", "2", "--method", "sdp"]),
+            ("big.csv", "1e308,1e308\n1e308,1e308\n",
+             ["sdp-solve", "--matrix", "big.csv", "--lambda", "0.1"]),
         ],
         ids=["recover-fat", "recover-constant-column", "sdp-solve-nan", "recover-dt-overflow",
-             "recover-sdp-overflow"],
+             "recover-sdp-overflow", "sdp-solve-overflow"],
     )
     @pytest.mark.filterwarnings("error")  # a warning would print package source on stderr
     def test_numerical_failure_leaves_no_output_folder(

@@ -330,7 +330,6 @@ class TestFitDecayExponent:
             per_slice_variances=tuple(np.zeros(h) for h in h_grid),
             boundaries=tuple(np.zeros(h + 1) for h in h_grid),
             sums=sums,
-            mean_decay=sums / np.array(h_grid, dtype=float),
         )
         assert fit_decay_exponent(diag) == pytest.approx(0.7, abs=1e-12)
 
@@ -340,7 +339,6 @@ class TestFitDecayExponent:
             per_slice_variances=(np.ones(4),),
             boundaries=(np.zeros(5),),
             sums=np.array([4.0]),
-            mean_decay=np.array([1.0]),
         )
         with pytest.raises(InvalidArgumentError):
             fit_decay_exponent(diag)
@@ -351,7 +349,6 @@ class TestFitDecayExponent:
             per_slice_variances=(np.zeros(2), np.ones(4)),
             boundaries=(np.zeros(3), np.zeros(5)),
             sums=np.array([0.0, 4.0]),
-            mean_decay=np.array([0.0, 1.0]),
         )
         with pytest.raises(NumericalError):
             fit_decay_exponent(diag)

@@ -66,7 +66,7 @@ class TestDtSelect:
         np.testing.assert_array_equal(dt_select(v, 2), [1, 2])
 
     def test_accepts_wrapper(self):
-        v = SirMatrix(v=np.diag([1.0, 3.0, 2.0]), mode="raw", h=2)
+        v = SirMatrix(v=np.diag([1.0, 3.0, 2.0]), mode="raw")
         np.testing.assert_array_equal(dt_select(v, 2), [1, 2])
 
     def test_result_sorted_ascending(self):

@@ -296,7 +296,6 @@ class TestDiagnosticCsv:
             per_slice_variances=(np.array([0.1 + 0.2, 1e-300]), np.array([0.25, -0.0, 5e-324])),
             boundaries=(np.array([-2.5, 0.0, 1e16]), np.array([-2.5, -1.0 / 3.0, 1.0 / 3.0, 1e16])),
             sums=np.array([0.30000000000000004, 0.25]),
-            mean_decay=np.array([0.15000000000000002, 0.08333333333333333]),
         )
         path = tmp_path / "diag.csv"
         assert emit_diagnostic_csv(diag, "sinh", 4000, path) == str(path)

@@ -15,15 +15,14 @@ from sirsupport.sdp import (
 from sirsupport.sir import SirMatrix, inv_sqrt_sym
 
 
-def _solution_from_z(z, rank1_gap=0.0, dual=None):
+def _solution_from_z(z, dual=None):
     return SdpSolution(
         z=z,
         objective=0.0,
         iterations=1,
-        converged=True,
-        rank1_gap=rank1_gap,
         dual=np.zeros_like(z) if dual is None else dual,
         duality_gap=0.0,
+        tolerance=0.0,
     )
 
 
@@ -107,11 +106,6 @@ class TestSdpSolutionValidation:
         with pytest.raises(InvalidArgumentError):
             _solution_from_z(z)
 
-    def test_rejects_bad_rank1_gap(self):
-        z = np.eye(2) / 2.0
-        with pytest.raises(InvalidArgumentError):
-            _solution_from_z(z, rank1_gap=1.5)
-
     @pytest.mark.parametrize(
         "dual",
         [
@@ -123,23 +117,46 @@ class TestSdpSolutionValidation:
     )
     def test_rejects_bad_dual(self, dual):
         with pytest.raises(InvalidArgumentError, match="dual"):
-            _solution_from_z(np.eye(2) / 2.0, rank1_gap=0.5, dual=dual)
+            _solution_from_z(np.eye(2) / 2.0, dual=dual)
 
     @pytest.mark.parametrize("field", ["z", "dual"])
     def test_stores_the_exact_mirror(self, field):
         # asymmetric by 1e-13, within the gate's rounding tolerance
         near = np.array([[0.5, 0.1], [0.1 + 1e-13, 0.5]])
         matrices = {"z": np.eye(2) / 2.0, "dual": np.zeros((2, 2)), field: near}
-        sol = _solution_from_z(matrices["z"], rank1_gap=0.4, dual=matrices["dual"])
+        sol = _solution_from_z(matrices["z"], dual=matrices["dual"])
         stored = getattr(sol, field)
         assert stored.tobytes() == np.array([[0.5, 0.1], [0.1, 0.5]]).tobytes()
+
+    @pytest.mark.parametrize("field", ["objective", "duality_gap", "tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_certificate_is_a_numerical_error(self, field, value):
+        fields = {"z": np.eye(2) / 2.0, "objective": 0.0, "iterations": 1,
+                  "dual": np.zeros((2, 2)), "duality_gap": 0.0, "tolerance": 1e-7, field: value}
+        with pytest.raises(NumericalError, match=field):
+            SdpSolution(**fields)
+
+    @pytest.mark.parametrize(("gap", "tolerance", "converged"),
+                             [(0.0, 0.0, True), (1e-7, 1e-7, True), (2e-7, 1e-7, False),
+                              (-1e-9, 0.0, True)])
+    def test_converged_is_the_gap_within_the_tolerance(self, gap, tolerance, converged):
+        sol = SdpSolution(z=np.eye(2) / 2.0, objective=0.0, iterations=1,
+                          dual=np.zeros((2, 2)), duality_gap=gap, tolerance=tolerance)
+        assert sol.converged is converged
+
+    def test_rank1_gap_is_derived_from_z(self):
+        assert _solution_from_z(np.eye(2) / 2.0).rank1_gap == 0.5
+        assert _solution_from_z(np.diag([1.0, 0.0])).rank1_gap == 0.0
+        with pytest.raises(TypeError):
+            SdpSolution(z=np.eye(2) / 2.0, objective=0.0, iterations=1, dual=np.zeros((2, 2)),
+                        duality_gap=0.0, tolerance=0.0, rank1_gap=0.0)
 
     @pytest.mark.parametrize("field", ["z", "dual"])
     def test_non_finite_matrix_is_a_numerical_error(self, field):
         matrices = {"z": np.eye(2) / 2.0, "dual": np.zeros((2, 2)),
                     field: np.array([[0.5, np.nan], [np.nan, 0.5]])}
         with pytest.raises(NumericalError, match=f"{field} has non-finite"):
-            _solution_from_z(matrices["z"], rank1_gap=0.5, dual=matrices["dual"])
+            _solution_from_z(matrices["z"], dual=matrices["dual"])
 
 
 class TestSolveHandExamples:
@@ -170,7 +187,7 @@ class TestSolveHandExamples:
         assert sol.objective == pytest.approx(1.5, abs=1e-9)
 
     def test_accepts_matrix_wrapper(self):
-        v = SirMatrix(v=np.diag([2.0, 1.0]), mode="raw", h=2)
+        v = SirMatrix(v=np.diag([2.0, 1.0]), mode="raw")
         sol = sdp_solve(v, SdpConfig(lam=0.0))
         assert sol.objective == pytest.approx(2.0, abs=1e-6)
 
@@ -192,6 +209,18 @@ class TestSolveDiagnostics:
     def test_rejects_empty_matrix(self, call):
         with pytest.raises(InvalidArgumentError, match="must be nonempty"):
             call(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        ("a", "lam", "message"),
+        [(np.full((2, 2), 1e308), 0.1, "spectral norm"),
+         (np.diag([-1e308, -1e308]), 1e308, "objective is -inf"),
+         (np.array([[-1.5e308, -5e307], [-5e307, 0.0]]), 1e308, "duality_gap is inf")],
+        ids=["norm", "objective", "certificate"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_a_numerical_error(self, a, lam, message):
+        with pytest.raises(NumericalError, match=message):
+            sdp_solve(a, SdpConfig(lam=lam))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_input(self, bad):

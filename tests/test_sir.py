@@ -88,7 +88,7 @@ class TestSirMatrix:
         v = sir_matrix(sl, "raw")
         # (1/2) * ([.5,.5] outer + [1,1] outer) has every entry 0.625
         np.testing.assert_allclose(v.v, np.full((2, 2), 0.625))
-        assert v.mode == "raw" and v.h == 2
+        assert v.mode == "raw"
 
     def test_centered_hand_example(self):
         sl = slice_data(tiny_dataset(), 2)
@@ -119,13 +119,13 @@ class TestSirMatrix:
 
     def test_wrapper_validates_symmetry(self):
         with pytest.raises(InvalidArgumentError):
-            SirMatrix(v=np.array([[1.0, 2.0], [3.0, 4.0]]), mode="raw", h=2)
+            SirMatrix(v=np.array([[1.0, 2.0], [3.0, 4.0]]), mode="raw")
         with pytest.raises(InvalidArgumentError):
-            SirMatrix(v=np.eye(2), mode="diagonal", h=2)
+            SirMatrix(v=np.eye(2), mode="diagonal")
 
     def test_wrapper_rejects_non_finite(self):
         with pytest.raises(NumericalError, match="non-finite"):
-            SirMatrix(v=np.diag([np.inf, 1.0]), mode="raw", h=2)
+            SirMatrix(v=np.diag([np.inf, 1.0]), mode="raw")
 
     def test_modes_tuple(self):
         assert MODES == ("raw", "centered", "whitened")
@@ -133,7 +133,7 @@ class TestSirMatrix:
     @pytest.mark.parametrize("mode", MODES)
     def test_wrapper_stores_the_exact_mirror(self, mode):
         # asymmetric by 1e-13, within the gate's rounding tolerance
-        v = SirMatrix(v=np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]]), mode=mode, h=2)
+        v = SirMatrix(v=np.array([[1.0, 2.0], [2.0 + 1e-13, 3.0]]), mode=mode)
         assert v.v.tobytes() == np.array([[1.0, 2.0], [2.0, 3.0]]).tobytes()
 
 
@@ -178,7 +178,7 @@ class TestMirrorUpper:
 
 class TestAsMatrix:
     def test_unwraps_and_validates(self):
-        v = SirMatrix(v=np.eye(3), mode="raw", h=4)
+        v = SirMatrix(v=np.eye(3), mode="raw")
         assert as_matrix(v) is v.v
         np.testing.assert_array_equal(as_matrix(np.eye(2)), np.eye(2))
         with pytest.raises(InvalidArgumentError):
