@@ -37,11 +37,11 @@ print("support and signs:   ", beta_r.support, beta_r.signs()[list(beta_r.suppor
 
 # ---------------------------------------------------------------------------
 # Drawing a dataset.  Rows of x are i.i.d. standard Gaussian; y follows the
-# chosen link.  The seed provenance is kept on the dataset for audit.
+# chosen link.  The same seed always draws the same dataset.
 # ---------------------------------------------------------------------------
 model = ModelSpec(link="atan2", noise_sd=1.0)
 data = sample_sim(model, beta, n=500, seed=42)
-print(f"\ndataset: n={data.n}, p={data.p}, provenance={data.seed_provenance}")
+print(f"\ndataset: n={data.n}, p={data.p}, first response {data.y[0]:.4f}")
 
 # ---------------------------------------------------------------------------
 # Signal strength.  estimate_cv returns Var(E[Z | Y]) for scalar Z ~ N(0,1):

@@ -49,7 +49,7 @@ for label, v in (("raw", v_raw), ("centered", v_cen)):
         f"max off-support {d[off].max():.4f}"
     )
 
-shifted = Dataset(x=data.x + 7.0, y=data.y, seed_provenance={"source": "demo"})
+shifted = Dataset(x=data.x + 7.0, y=data.y)
 v_cen_shift = sir_matrix(slice_data(shifted, h=10), "centered")
 print("centered matrix change under +7 shift:", np.abs(v_cen.v - v_cen_shift.v).max())
 
@@ -60,7 +60,7 @@ print("centered matrix change under +7 shift:", np.abs(v_cen.v - v_cen_shift.v).
 # invertible coordinate system the design was recorded in.
 # ---------------------------------------------------------------------------
 t = rng.standard_normal((10, 10)) + 2.0 * np.eye(10)
-mixed = Dataset(x=data.x @ t, y=data.y, seed_provenance={"source": "demo"})
+mixed = Dataset(x=data.x @ t, y=data.y)
 v_white_orig = sir_matrix_whitened(data, h=10)
 v_white_mixed = sir_matrix_whitened(mixed, h=10)
 spec_orig = np.linalg.eigvalsh(v_white_orig.v)

@@ -43,15 +43,15 @@ print(f"ingested: n={table.n}, p={table.p}, dropped={table.n_dropped}")
 # penalized solution's principal eigenvector.
 # ---------------------------------------------------------------------------
 for method in ("dt", "sdp"):
-    report = recover_real(table, s=3, h=10, method=method, seed=0)
+    rows = recover_real(table, s=3, h=10, method=method, seed=0)
     print(f"\n{method} ranking (top 5 of {table.p}):")
     print("  rank  variable   score      selected  sign")
-    for row in report.rows[:5]:
+    for row in rows[:5]:
         print(
             f"  {row.rank:>4}  {row.variable:<9} {row.score:9.4f}  "
             f"{str(row.selected):<8}  {row.sign:+d}"
         )
-    path = emit_recovery_csv(report, out / f"recovery_{method}.csv")
+    path = emit_recovery_csv(rows, out / f"recovery_{method}.csv")
     print("  wrote", path)
 
 print("""

@@ -104,8 +104,8 @@ def _cmd_recover(args):
     table = ingest_csv(args.data, args.y_column)
     if table.n_dropped:
         print(f"dropped {table.n_dropped} rows with missing values", file=sys.stderr)
-    report = recover_real(table, args.s, args.H, args.method, args.seed)
-    return args.seed, [("recovery.csv", lambda path: emit_recovery_csv(report, path))]
+    rows = recover_real(table, args.s, args.H, args.method, args.seed)
+    return args.seed, [("recovery.csv", lambda path: emit_recovery_csv(rows, path))]
 
 
 def _cmd_sdp_solve(args):

@@ -1,4 +1,4 @@
-"""CSV ingestion, real-data recovery reports, and deterministic emitters.
+"""CSV ingestion, real-data variable ranking, and deterministic emitters.
 
 Every CSV cell is written by one rule, ``_cell``: a float as its
 ``repr``, which round-trips IEEE doubles exactly, uses a decimal point
@@ -40,7 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "IngestedTable",
     "RecoveryRow",
-    "RecoveryReport",
     "ingest_csv",
     "recover_real",
     "emit_curve_csv",
@@ -58,25 +57,21 @@ _BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
-class IngestedTable:
-    """A numeric table split into predictors and a response column.
+class IngestedTable(Dataset):
+    """A ``Dataset`` read from a CSV, with the names of its p predictor columns.
 
     ``n_dropped`` counts the rows rejected because of missing values.
     """
 
     columns: tuple[str, ...]
-    y_column: str
-    x: np.ndarray
-    y: np.ndarray
     n_dropped: int
 
-    @property
-    def n(self) -> int:
-        return int(self.x.shape[0])
-
-    @property
-    def p(self) -> int:
-        return int(self.x.shape[1])
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.columns) != self.p:
+            raise InvalidArgumentError(
+                f"columns must name each of the p={self.p} predictors, got {len(self.columns)} names"
+            )
 
 
 def _cell_is_missing(cell: str) -> bool:
@@ -230,7 +225,6 @@ def ingest_csv(path, y_column: str) -> IngestedTable:
         )
     return IngestedTable(
         columns=x_names,
-        y_column=y_column,
         x=np.delete(table, y_idx, axis=1),  # a C-ordered copy, so slicing gathers whole rows
         y=table[:, y_idx].copy(),  # a view would keep the whole table alive
         n_dropped=dropped,
@@ -246,15 +240,9 @@ class RecoveryRow:
     sign: int
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
-    method: str
-    s: int
-    h: int
-    rows: tuple[RecoveryRow, ...]
-
-
-def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", seed: int = 0) -> RecoveryReport:
+def recover_real(
+    table: IngestedTable, s: int, h: int = 10, method: str = "dt", seed: int = 0
+) -> tuple[RecoveryRow, ...]:
     """Rank all variables of an ingested table by a whitened slice-mean fit.
 
     Scores are the diagonal entries of the whitened matrix for "dt" and
@@ -262,8 +250,11 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
     "sdp".  Rows are ranked and the top s selected by the rule of
     ``dt_sir`` (ties toward the earlier column).  A selected row's sign
     is ``dt_sir``'s for "dt" and its eigenvector entry's for "sdp", as
-    ``sdp_sign_recover`` gives it; every other row's is 0.
+    ``sdp_sign_recover`` gives it; every other row's is 0.  Returns one
+    row per variable, in rank order.
     The whitened fit needs n > p and raises ``RankDeficientError`` otherwise.
+    An SDP solve whose duality gap misses its tolerance ranks nothing: it
+    raises ``NumericalError``.
     """
     if method not in RECOVER_METHODS:
         raise InvalidArgumentError(f"method must be one of {RECOVER_METHODS}, got {method!r}")
@@ -271,24 +262,22 @@ def recover_real(table: IngestedTable, s: int, h: int = 10, method: str = "dt", 
     s = _check_int(s, "s", 1)
     if s > p:
         raise InvalidArgumentError(f"need 1 <= s <= p, got s={s}, p={p}")
-    data = Dataset(x=table.x, y=table.y, seed_provenance={"source": "ingested"})
-    v = sir_matrix_whitened(data, h, seed)
+    v = sir_matrix_whitened(table, h, seed)
     if method == "dt":
         scores, signed = np.diag(v.v).copy(), dt_sir(v, s)
     else:
-        scores, signed = _round(sdp_solve(v, SdpConfig(lam=default_lambda(v, s))), s)
-    rows = []
-    for rank_minus_one, j in enumerate(_top(scores, p)):
-        rows.append(
-            RecoveryRow(
-                variable=table.columns[j],
-                score=float(scores[j]),
-                rank=rank_minus_one + 1,
-                selected=rank_minus_one < s,
-                sign=int(signed.signs[j]),
+        sol = sdp_solve(v, SdpConfig(lam=default_lambda(v, s)))
+        if not sol.converged:
+            raise NumericalError(
+                f"the SDP solve stopped uncertified at iteration {sol.iterations}: "
+                f"duality gap {sol.duality_gap!r} > tolerance {sol.tolerance!r}"
             )
-        )
-    return RecoveryReport(method=method, s=s, h=int(h), rows=tuple(rows))
+        scores, signed = _round(sol, s)
+    return tuple(
+        RecoveryRow(variable=table.columns[j], score=float(scores[j]), rank=k + 1,
+                    selected=k < s, sign=int(signed.signs[j]))
+        for k, j in enumerate(_top(scores, p))
+    )
 
 
 CURVE_HEADER = "model,p,s,method,mode,H,gamma,n,reps,successes,success_rate,skipped"
@@ -361,9 +350,10 @@ def emit_diagnostic_csv(diag: StabilityDiagnostic, model_name: str, mc_n: int, p
     ))
 
 
-def emit_recovery_csv(report: RecoveryReport, path) -> str:
+def emit_recovery_csv(rows, path) -> str:
+    """Write ``recover_real``'s rows, in the order given."""
     return _emit_table(path, "variable,score,rank,selected,sign", (
-        (row.variable, row.score, row.rank, row.selected, row.sign) for row in report.rows
+        (row.variable, row.score, row.rank, row.selected, row.sign) for row in rows
     ))
 
 

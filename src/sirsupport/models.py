@@ -133,11 +133,10 @@ class SparseDirection:
 
 @dataclass(frozen=True)
 class Dataset:
-    """An n x p design with responses and a record of how it was drawn."""
+    """An n x p design with one response per row."""
 
     x: np.ndarray
     y: np.ndarray
-    seed_provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -156,15 +155,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return int(self.x.shape[1])
-
-
-def _provenance(seed: int, scheme: str) -> dict:
-    return {
-        "seed": int(seed),
-        "bit_generator": "PCG64",
-        "numpy": np.__version__,
-        "scheme": scheme,
-    }
 
 
 def generate_beta(p: int, s: int, scheme: str = "fixed", seed: int = 0) -> SparseDirection:
@@ -214,7 +204,7 @@ def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -
     x = rng.standard_normal((n, beta.p))
     eps = model.noise_sd * rng.standard_normal(n)
     y = model.response(x @ beta.values, eps)
-    return Dataset(x=x, y=y, seed_provenance=_provenance(seed, f"gaussian-design/{model.link}"))
+    return Dataset(x=x, y=y)
 
 
 def _index_pairs(model: ModelSpec, mc_n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

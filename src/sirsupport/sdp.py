@@ -45,9 +45,10 @@ class SdpConfig:
     """Solver settings.
 
     ``lam`` is the l1 penalty level.  ``tol`` is the relative duality-gap
-    tolerance: a solve stops, certified, once its duality gap is at most
-    tol * max(1, spectral norm of A), or uncertified after ``max_iter``
-    iterations.
+    tolerance, in (0, 1): a solve stops, certified, once its duality gap
+    is at most tol * max(1, spectral norm of A), or uncertified after
+    ``max_iter`` iterations.  Below 1, the tolerance of a finite matrix
+    is finite and below max(1, its norm).
     """
 
     lam: float
@@ -57,8 +58,8 @@ class SdpConfig:
     def __post_init__(self):
         _check_real(self.lam, "lam")
         _check_int(self.max_iter, "max_iter", 1)
-        if _check_real(self.tol, "tol") == 0:
-            raise InvalidArgumentError("tol must be positive, got 0")
+        if not 0 < _check_real(self.tol, "tol") < 1:
+            raise InvalidArgumentError(f"tol must lie in (0, 1), got {self.tol!r}")
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ def test_07_invariance_suite():
     beta = generate_beta(8, 3, "fixed", 0)
     data = sample_sim(model, beta, 500, 11)
     shift = 5.0 * rng.standard_normal(8)
-    shifted = Dataset(x=data.x + shift, y=data.y, seed_provenance={"source": "test"})
+    shifted = Dataset(x=data.x + shift, y=data.y)
     v0 = sir_matrix(slice_data(data, 10), "centered").v
     v1 = sir_matrix(slice_data(shifted, 10), "centered").v
     centering_err = float(np.abs(v0 - v1).max())
@@ -216,7 +216,7 @@ def test_07_invariance_suite():
     for _ in range(3):
         t = rng.standard_normal((10, 10))
         assert np.linalg.cond(t) < 1e4
-        mapped = Dataset(x=data10.x @ t, y=data10.y, seed_provenance={"source": "test"})
+        mapped = Dataset(x=data10.x @ t, y=data10.y)
         spec = np.linalg.eigvalsh(sir_matrix_whitened(mapped, 10).v)
         spectrum_err = max(spectrum_err, float(np.abs(spec - base_spec).max()))
     assert spectrum_err <= 1e-8

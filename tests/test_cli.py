@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 import sirsupport
+import sirsupport.cli
+import sirsupport.dataio
 from sirsupport.cli import main
 from sirsupport.dataio import CURVE_HEADER, emit_matrix_csv
+from sirsupport.sdp import SdpConfig
 from sirsupport.version import __version__
 
 
@@ -128,6 +132,17 @@ class TestRecover:
         assert "bad.csv: byte 0xff at row 3 is not UTF-8 text" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "recovery.csv").exists()
+
+    def test_uncertified_sdp_exits_two(self, tmp_path, data_csv, monkeypatch, capsys):
+        monkeypatch.setattr(sirsupport.dataio, "SdpConfig", functools.partial(SdpConfig, max_iter=1))
+        out = tmp_path / "run"
+        rc = main(["recover", "--data", str(data_csv), "--s", "1", "--H", "4", "--method", "sdp",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: the SDP solve stopped uncertified at iteration 1")
+        assert not out.exists()
 
     def test_rank_deficient_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "fat.csv"
@@ -492,6 +507,22 @@ class TestErrorHandling:
         rc = main([*argv, "--out", "run"])
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("tol", ["1", "1e300"])
+    def test_tolerance_of_one_or_more_exits_one_before_solving(
+        self, tmp_path, monkeypatch, capsys, tol
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_text("1e10,0\n0,1\n")
+
+        def never(*args):
+            raise AssertionError("sdp_solve ran")
+
+        monkeypatch.setattr(sirsupport.cli, "sdp_solve", never)
+        rc = main(["sdp-solve", "--matrix", "m.csv", "--lambda", "0", "--tol", tol, "--out", "run"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: tol must lie in (0, 1), got {float(tol)!r}"]
         assert not (tmp_path / "run").exists()
 
     def test_out_naming_a_file_exits_one(self, tmp_path, capsys):

@@ -1,16 +1,17 @@
 import argparse
+import functools
 import json
 
 import numpy as np
 import pytest
 
+import sirsupport.dataio
 import sirsupport.dt
 from sirsupport.cli import _write_outputs
 from sirsupport.curves import CurveConfig, StabilityDiagnostic, run_curve, stability_diagnostic
 from sirsupport.dataio import (
     CURVE_HEADER,
     IngestedTable,
-    RecoveryReport,
     RecoveryRow,
     emit_curve_csv,
     emit_dataset_csv,
@@ -28,6 +29,7 @@ from sirsupport.errors import (
     RankDeficientError,
 )
 from sirsupport.models import Dataset, ModelSpec, generate_beta, sample_sim
+from sirsupport.sdp import SdpConfig
 from sirsupport.version import __version__
 
 
@@ -41,10 +43,14 @@ class TestIngestCsv:
         path = _write(tmp_path / "t.csv", "y,a,b\n1,2,3\n4,5,6\n")
         table = ingest_csv(path, "y")
         assert table.columns == ("a", "b")
-        assert table.y_column == "y"
         np.testing.assert_array_equal(table.y, [1.0, 4.0])
         np.testing.assert_array_equal(table.x, [[2.0, 3.0], [5.0, 6.0]])
         assert table.n == 2 and table.p == 2 and table.n_dropped == 0
+
+    def test_returns_a_dataset(self, tmp_path):
+        table = ingest_csv(_write(tmp_path / "t.csv", "y,a,b\n1,2,3\n4,5,6\n"), "y")
+        assert issubclass(IngestedTable, Dataset)
+        assert isinstance(table, Dataset)
 
     def test_response_column_anywhere(self, tmp_path):
         path = _write(tmp_path / "t.csv", "a,y,b\n2,1,3\n5,4,6\n")
@@ -157,15 +163,39 @@ def curve():
     return run_curve(cfg)
 
 
+class TestIngestedTable:
+    @pytest.mark.parametrize("columns", [("a",), ("a", "b", "c", "d"), ()])
+    def test_rejects_a_column_count_other_than_p(self, columns):
+        with pytest.raises(InvalidArgumentError, match=f"p=3 predictors, got {len(columns)} names"):
+            IngestedTable(x=np.zeros((50, 3)), y=np.zeros(50), columns=columns, n_dropped=0)
+
+    def test_runs_the_dataset_checks_first(self):
+        with pytest.raises(InvalidArgumentError, match="one entry per row"):
+            IngestedTable(x=np.zeros((50, 3)), y=np.zeros(49), columns=("a",), n_dropped=0)
+
+
 class TestRecoverReal:
     @pytest.mark.parametrize("method", ["dt", "sdp"])
+    def test_returns_a_tuple_of_rows_in_rank_order(self, table, method):
+        rows = recover_real(table, s=3, method=method)
+        assert type(rows) is tuple
+        assert all(type(row) is RecoveryRow for row in rows)
+        assert [row.rank for row in rows] == list(range(1, table.p + 1))
+        assert sorted(row.variable for row in rows) == sorted(table.columns)
+
+    def test_uncertified_sdp_solve_ranks_nothing(self, table, monkeypatch):
+        monkeypatch.setattr(sirsupport.dataio, "SdpConfig", functools.partial(SdpConfig, max_iter=1))
+        with pytest.raises(NumericalError, match=r"uncertified at iteration 1: duality gap \S+ > tolerance \S+"):
+            recover_real(table, s=3, method="sdp")
+
+    @pytest.mark.parametrize("method", ["dt", "sdp"])
     def test_planted_variables_rank_first(self, table, method):
-        report = recover_real(table, s=3, h=10, method=method, seed=0)
-        top = [(r.variable, r.sign) for r in report.rows[:3]]
+        rows = recover_real(table, s=3, h=10, method=method, seed=0)
+        top = [(r.variable, r.sign) for r in rows[:3]]
         assert top == [("x1", 1), ("x2", 1), ("x3", -1)]
-        assert report.rows[3].sign == 0
-        assert all(r.selected for r in report.rows[:3])
-        assert not any(r.selected for r in report.rows[3:])
+        assert rows[3].sign == 0
+        assert all(r.selected for r in rows[:3])
+        assert not any(r.selected for r in rows[3:])
 
     @pytest.mark.parametrize("method", ["dt", "sdp"])
     def test_sign_is_nonzero_exactly_on_selected_rows(self, method):
@@ -174,8 +204,8 @@ class TestRecoverReal:
         columns = tuple(f"x{j + 1}" for j in range(50))
         for seed in range(12):
             data = sample_sim(model, beta, n=150, seed=seed)
-            table = IngestedTable(columns=columns, y_column="y", x=data.x, y=data.y, n_dropped=0)
-            for row in recover_real(table, s=5, method=method).rows:
+            table = IngestedTable(columns=columns, x=data.x, y=data.y, n_dropped=0)
+            for row in recover_real(table, s=5, method=method):
                 assert (row.sign != 0) == (row.selected and row.score != 0), (seed, row)
 
     def test_sdp_decomposes_the_solution_once(self, table, monkeypatch):
@@ -191,9 +221,9 @@ class TestRecoverReal:
         assert calls == [(20, 20)]
 
     def test_ranks_are_a_permutation(self, table):
-        report = recover_real(table, s=3)
-        assert sorted(r.rank for r in report.rows) == list(range(1, 21))
-        scores = [r.score for r in report.rows]
+        rows = recover_real(table, s=3)
+        assert sorted(r.rank for r in rows) == list(range(1, 21))
+        scores = [r.score for r in rows]
         assert scores == sorted(scores, reverse=True)
 
     def test_rejects_fat_tables(self, tmp_path):
@@ -268,7 +298,7 @@ class TestDatasetCsvRoundTrip:
         path = tmp_path / "sim.csv"
         emit_dataset_csv(data, path)
         columns = tuple(f"x{j + 1}" for j in range(50))
-        direct = IngestedTable(columns=columns, y_column="y", x=data.x, y=data.y, n_dropped=0)
+        direct = IngestedTable(columns=columns, x=data.x, y=data.y, n_dropped=0)
         for name, table in (("ingested", ingest_csv(path, "y")), ("direct", direct)):
             emit_recovery_csv(recover_real(table, s=5, method=method), tmp_path / f"{name}.csv")
         assert (tmp_path / "ingested.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
@@ -314,22 +344,22 @@ class TestRecoveryCsv:
         path = _write(tmp_path / "t.csv", "y,a,b\n" + "\n".join(
             f"{i},{i % 3},{(i * 7) % 5}" for i in range(12)
         ) + "\n")
-        report = recover_real(ingest_csv(path, "y"), s=1, h=2)
+        rows = recover_real(ingest_csv(path, "y"), s=1, h=2)
         out = tmp_path / "rec.csv"
-        emit_recovery_csv(report, out)
+        emit_recovery_csv(rows, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "variable,score,rank,selected,sign"
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "1"
 
     def test_golden_bytes(self, tmp_path):
-        report = RecoveryReport(method="sdp", s=2, h=3, rows=(
+        rows = (
             RecoveryRow(variable="x2", score=np.float64(0.1 + 0.2), rank=1, selected=True, sign=-1),
             RecoveryRow(variable="a b", score=1e16, rank=2, selected=True, sign=1),
             RecoveryRow(variable="x1", score=-0.0, rank=3, selected=False, sign=0),
-        ))
+        )
         path = tmp_path / "rec.csv"
-        assert emit_recovery_csv(report, path) == str(path)
+        assert emit_recovery_csv(rows, path) == str(path)
         assert path.read_bytes() == (
             b"variable,score,rank,selected,sign\n"
             b"x2,0.30000000000000004,1,true,-1\n"

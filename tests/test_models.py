@@ -143,8 +143,6 @@ class TestSampleSim:
         data = sample_sim(ModelSpec(link="atan2"), beta, 50, seed=11)
         assert data.x.shape == (50, 6)
         assert data.y.shape == (50,)
-        assert data.seed_provenance["seed"] == 11
-        assert data.seed_provenance["bit_generator"] == "PCG64"
 
     def test_seed_determinism(self):
         beta = generate_beta(5, 2, "fixed", 0)

@@ -91,6 +91,14 @@ class TestSdpConfig:
         cfg = SdpConfig(lam=np.float64(0.1), max_iter=np.int64(5), tol=np.float64(1e-6))
         assert (cfg.lam, cfg.max_iter, cfg.tol) == (0.1, 5, 1e-6)
 
+    @pytest.mark.parametrize("tol", [1.0, 1, np.float64(1.0), 1.5, 1e300])
+    def test_relative_tolerance_of_one_or_more_is_rejected(self, tol):
+        with pytest.raises(InvalidArgumentError, match=r"tol must lie in \(0, 1\)"):
+            SdpConfig(lam=0.1, tol=tol)
+
+    def test_tolerance_just_below_one_is_accepted(self):
+        assert SdpConfig(lam=0.1, tol=0.999).tol == 0.999
+
 
 class TestSdpSolutionValidation:
     def test_rejects_asymmetric_z(self):
