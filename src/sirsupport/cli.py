@@ -38,26 +38,24 @@ def _require(args, *dests: str) -> None:
             raise InvalidArgumentError(f"missing required option --{dest.replace('_', '-')}")
 
 
-def _write_outputs(args, seed: int | None, artifacts) -> None:
+def _write_outputs(args, artifacts) -> None:
     """Create ``--out``, write each artifact in order, then the manifest.
 
-    Each ``_cmd_*`` function only computes: it returns the manifest seed
-    and its artifacts, (file name, writer of a path) pairs, and ``main``
-    calls this after it returns, so a rejected run leaves no output
-    folder behind.
+    Each ``_cmd_*`` function only computes: it returns its artifacts,
+    (file name, writer of a path) pairs, and ``main`` calls this after it
+    returns, so a rejected run leaves no output folder behind.
     """
     os.makedirs(args.out, exist_ok=True)
     for name, write in artifacts:
         print(f"wrote {write(os.path.join(args.out, name))}")
-    # a seed of None (sdp-solve) keeps --seed out of the manifest
-    skip = {"command", "config"} | ({"seed"} if seed is None else set())
     manifest = {
         "command": args.command,
         "config_path": args.config,
         "output_dir": args.out,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
-        "config": {k: v for k, v in vars(args).items() if k not in skip},  # tuples write as lists
+        # tuples write as lists
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "config")},
     }
     print(f"wrote {_write_json(manifest, os.path.join(args.out, 'manifest.json'))}")
 
@@ -69,7 +67,7 @@ def _cmd_simulate(args):
     beta_seed, data_seed = (int(v) for v in np.random.SeedSequence(args.seed).generate_state(2, dtype=np.uint64))
     beta = generate_beta(args.p, args.s, args.beta_scheme, beta_seed)
     data = sample_sim(model, beta, args.n, data_seed)
-    return args.seed, [("dataset.csv", lambda path: emit_dataset_csv(data, path))]
+    return [("dataset.csv", lambda path: emit_dataset_csv(data, path))]
 
 
 def _cmd_curve(args):
@@ -88,13 +86,13 @@ def _cmd_curve(args):
         sdp_lambda=getattr(args, "lambda"),
     )
     curve = run_curve(cfg, workers=args.workers)
-    return args.seed, [("curve.csv", lambda path: emit_curve_csv(curve, path))]
+    return [("curve.csv", lambda path: emit_curve_csv(curve, path))]
 
 
 def _cmd_diagnose(args):
     model = ModelSpec(link=args.model, noise_sd=args.noise_sd)
     diag = stability_diagnostic(model, args.h_grid, args.mc_n, args.seed)
-    return args.seed, [
+    return [
         ("diagnostic.csv", lambda path: emit_diagnostic_csv(diag, args.model, args.mc_n, path))
     ]
 
@@ -105,7 +103,7 @@ def _cmd_recover(args):
     if table.n_dropped:
         print(f"dropped {table.n_dropped} rows with missing values", file=sys.stderr)
     rows = recover_real(table, args.s, args.H, args.method, args.seed)
-    return args.seed, [("recovery.csv", lambda path: emit_recovery_csv(rows, path))]
+    return [("recovery.csv", lambda path: emit_recovery_csv(rows, path))]
 
 
 def _cmd_sdp_solve(args):
@@ -125,8 +123,7 @@ def _cmd_sdp_solve(args):
         "duality_gap": sol.duality_gap,
         "lambda": lam,
     }
-    # sdp-solve accepts --seed but draws nothing random, so it records no seed
-    return None, [
+    return [
         ("z.csv", lambda path: emit_matrix_csv(sol.z, path)),
         ("diagnostics.json", lambda path: _write_json(diagnostics, path)),
     ]

@@ -7,8 +7,10 @@ key is the long flag without its dashes (``noise-sd``, ``gamma-grid``,
 become the command's defaults, so explicit flags always win.  A key in
 the section that names none of the command's options is an error; keys
 inherited from ``[DEFAULT]`` that the command lacks are ignored.  Exit
-codes: 0 on success, 1 on configuration, input-format or file-system
-errors, 2 on numerical failures.
+codes: 0 on success and for ``--help`` and ``--version``; 1 on a bad
+flag, a bad value, a missing command, or a configuration, input-format,
+file-system or memory error, each reported on one ``error:`` line; 2 on
+numerical failures.
 """
 
 # No numpy and no estimator layer here: ``--version``, ``--help`` and a bad
@@ -25,15 +27,7 @@ from .version import __version__
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on bad flags; remap to 1 (configuration error)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _CommandParser(_Parser):
-    """Raise on a bad option value (flag or INI key), so ``main`` returns 1."""
+    """Raise on a bad flag, a bad value (flag or INI key) or no command, so ``main`` returns 1."""
 
     def error(self, message):
         raise InvalidArgumentError(message)
@@ -98,16 +92,17 @@ def _ini_defaults(path: str, command: argparse.ArgumentParser, section: str) -> 
     return defaults
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(prog="sirsupport", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sirsupport {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
+    def command(name, summary, seeded=True):
         sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", help="INI config file with a section per command")
-        sp.add_argument("--seed", type=_seed, default=0, help="master seed")
+        if seeded:
+            sp.add_argument("--seed", type=_seed, default=0, help="master seed")
         sp.add_argument("--out", default=".", help="output directory (default: current directory)")
         return sp
 
@@ -148,7 +143,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _CommandParser]]:
     sp.add_argument("--H", type=int, default=10, help="number of slices")
     sp.add_argument("--method", default="dt", help="dt or sdp")
 
-    sp = command("sdp-solve", "solve the penalized relaxation on a matrix")
+    sp = command("sdp-solve", "solve the penalized relaxation on a matrix", seeded=False)
     sp.add_argument("--matrix", help="CSV path of a square symmetric matrix")
     sp.add_argument("--lambda", type=float, help="penalty level")
     sp.add_argument("--s", type=int, help="sparsity used to derive the penalty when --lambda is absent")
@@ -169,9 +164,9 @@ def main(argv=None) -> int:
         from . import cli  # numpy and the estimator layers load only for a command that runs
 
         run = getattr(cli, "_cmd_" + args.command.replace("-", "_"))
-        cli._write_outputs(args, *run(args))
+        cli._write_outputs(args, run(args))
         return 0
-    except (InvalidArgumentError, IngestError, OSError, configparser.Error) as exc:
+    except (InvalidArgumentError, IngestError, OSError, MemoryError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -11,6 +11,7 @@ as the number of slices grows.
 from __future__ import annotations
 
 import math
+import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -212,7 +213,8 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
     point is cut into blocks of max(1, reps // (4 * workers))
     replicates, and the blocks are queued costliest first (larger n
     first), so no point waits for another to finish and the pool's tail
-    is one small block.  No pool is started when every point is skipped.
+    is one small block.  The pool starts at most one process per block
+    and per usable CPU.  No pool is started when every point is skipped.
     A custom link must then be picklable; otherwise InvalidArgumentError
     is raised before any worker starts.
     """
@@ -229,7 +231,8 @@ def run_curve(cfg: CurveConfig, workers: int = 1) -> EfficiencyCurve:
         queue = [(cfg, gi, lo, min(lo + block, cfg.reps), ns[gi])
                  for gi in sorted(run, key=lambda gi: -ns[gi])
                  for lo in range(0, cfg.reps, block)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(queue))) as pool:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(workers, len(queue), cpus)) as pool:
             results = list(pool.map(_run_block, *zip(*queue)))
     successes = dict.fromkeys(run, 0)
     seconds = [0.0] * len(ns)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _check_int, _check_real
+from .errors import InvalidArgumentError, NumericalError, _check_int, _check_real
 
 __all__ = [
     "LINK_NAMES",
@@ -60,6 +60,9 @@ _LINKS: dict[str, Callable] = {
 LINK_NAMES = tuple(_LINKS)
 BETA_SCHEMES = ("fixed", "random_uniform")
 
+# the most 8-byte floats one numpy array can hold
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -95,9 +98,13 @@ class ModelSpec:
         return cls(link="custom", noise_sd=noise_sd, custom_link=fn)
 
     def response(self, u: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        """Apply the link elementwise: y = f(u, eps)."""
+        """Apply the link elementwise: y = f(u, eps).  A NaN or infinite y raises NumericalError."""
         fn = self.custom_link if self.link == "custom" else _LINKS[self.link]
-        return np.asarray(fn(np.asarray(u, dtype=float), np.asarray(eps, dtype=float)), dtype=float)
+        y = np.asarray(fn(np.asarray(u, dtype=float), np.asarray(eps, dtype=float)), dtype=float)
+        bad = y.size - np.count_nonzero(np.isfinite(y))
+        if bad:
+            raise NumericalError(f"link {self.link!r} gave {bad} non-finite responses of {y.size}")
+        return y
 
 
 @dataclass(frozen=True)
@@ -193,25 +200,44 @@ def generate_beta(p: int, s: int, scheme: str = "fixed", seed: int = 0) -> Spars
     return SparseDirection(values=values)
 
 
+def _check_floats(name: str, n: int, p: int) -> None:
+    """InvalidArgumentError unless n x p floats fit in one numpy array."""
+    if n * p > _MAX_FLOATS:
+        from decimal import Decimal  # formats an integer of any size in short form
+
+        raise InvalidArgumentError(
+            f"{name}={Decimal(n):.3g} asks for an array of {Decimal(n * p):.3g} floats, "
+            "more than numpy can hold"
+        )
+
+
+def _noise(model: ModelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of eps; one that overflows to infinity is left for ``response`` to refuse."""
+    with np.errstate(over="ignore"):
+        return model.noise_sd * rng.standard_normal(n)
+
+
 def sample_sim(model: ModelSpec, beta: SparseDirection, n: int, seed: int = 0) -> Dataset:
     """Draw n rows x ~ N(0, I_p) and responses y = f(x' beta, eps).
 
     The design is drawn first and the noise second from a single PCG64
-    stream, so a given seed always yields the same dataset.
+    stream, so a given seed always yields the same dataset.  A design too
+    large for one numpy array raises InvalidArgumentError.
     """
     n, seed = _check_int(n, "n", 1), _check_int(seed, "seed", 0)
+    _check_floats("n", n, beta.p)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, beta.p))
-    eps = model.noise_sd * rng.standard_normal(n)
-    y = model.response(x @ beta.values, eps)
+    y = model.response(x @ beta.values, _noise(model, rng, n))
     return Dataset(x=x, y=y)
 
 
 def _index_pairs(model: ModelSpec, mc_n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """mc_n scalar pairs (Z, f(Z, eps)), Z and eps drawn in that order from one stream."""
+    _check_floats("mc_n", mc_n, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(mc_n)
-    return z, model.response(z, model.noise_sd * rng.standard_normal(mc_n))
+    return z, model.response(z, _noise(model, rng, mc_n))
 
 
 def estimate_cv(

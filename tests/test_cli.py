@@ -495,11 +495,19 @@ class TestErrorHandling:
             ["sdp-solve", "--matrix", ".", "--lambda", "0.1"],
             ["recover", "--config", "."],
             ["curve", "--p", "20", "--sparsity", "2", "--gamma-grid", "1e308", "--reps", "1"],
+            ["sdp-solve", "--matrix", "a.csv", "--lambda", "0.1", "--seed", "1"],
+            # PiB-scale designs: each fails before anything is allocated
+            ["simulate", "--p", "100000", "--s", "2", "--n", "100000000000"],
+            ["curve", "--p", "20", "--gamma-grid", "1e300", "--reps", "1"],
+            ["curve", "--p", "20", "--gamma-grid", "1e12", "--reps", "1"],
+            ["curve", "--p", "20", "--gamma-grid", "1e12", "--reps", "1", "--workers", "2"],
+            ["diagnose", "--mc-n", "100000000000000000000"],
         ],
         ids=["curve-workers", "recover-missing", "recover-s", "sdp-solve-missing",
              "sdp-solve-no-lambda", "diagnose-h", "simulate-s", "sdp-solve-tol", "curve-lambda",
              "sdp-solve-empty", "curve-whitened", "recover-data-dir", "sdp-solve-matrix-dir",
-             "recover-config-dir", "curve-gamma-overflow"],
+             "recover-config-dir", "curve-gamma-overflow", "sdp-solve-seed", "simulate-pib",
+             "curve-n-past-intp", "curve-pib", "curve-pib-pool", "diagnose-mc-n-past-intp"],
     )
     def test_rejected_input_leaves_no_output_folder(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -548,9 +556,16 @@ class TestErrorHandling:
              ["recover", "--data", "big.csv", "--s", "2", "--method", "sdp"]),
             ("big.csv", "1e308,1e308\n1e308,1e308\n",
              ["sdp-solve", "--matrix", "big.csv", "--lambda", "0.1"]),
+            # noise this large overflows to an infinite response
+            ("unused.txt", "", ["simulate", "--p", "5", "--s", "2", "--n", "50",
+                                "--noise-sd", "1e308"]),
+            ("unused.txt", "", ["curve", "--p", "20", "--gamma-grid", "5", "--reps", "3",
+                                "--noise-sd", "1e308"]),
+            ("unused.txt", "", ["diagnose", "--mc-n", "40000", "--noise-sd", "1e308"]),
         ],
         ids=["recover-fat", "recover-constant-column", "sdp-solve-nan", "recover-dt-overflow",
-             "recover-sdp-overflow", "sdp-solve-overflow"],
+             "recover-sdp-overflow", "sdp-solve-overflow", "simulate-infinite-y",
+             "curve-infinite-y", "diagnose-infinite-y"],
     )
     @pytest.mark.filterwarnings("error")  # a warning would print package source on stderr
     def test_numerical_failure_leaves_no_output_folder(
@@ -564,15 +579,14 @@ class TestErrorHandling:
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
         assert not (tmp_path / "run").exists()
 
-    def test_unknown_flag_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["curve", "--nope"])
-        assert exc.value.code == 1
+    def test_unknown_flag_exits_one(self, capsys):
+        assert main(["curve", "--nope"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: unrecognized arguments: --nope"]
 
-    def test_no_subcommand_exits_one(self):
-        with pytest.raises(SystemExit) as exc:
-            main([])
-        assert exc.value.code == 1
+    def test_no_subcommand_exits_one(self, capsys):
+        assert main([]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: the following arguments are required: command"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -660,7 +674,7 @@ class TestConsoleFrontEnd:
     def test_unknown_flag_is_named(self):
         proc = _python(self.PROBE, "simulate", "--bogus")
         assert proc.stdout == ""
-        assert "sirsupport: error: unrecognized arguments: --bogus" in proc.stderr
+        assert proc.stderr.splitlines()[:-1] == ["error: unrecognized arguments: --bogus"]
 
     def test_cli_reexports_main(self):
         from sirsupport import cli, console

@@ -218,6 +218,10 @@ def _module_level_link(u, eps):
     return u + eps
 
 
+def _nan_link(u, eps):
+    return np.where(u > 0, u + eps, np.nan)
+
+
 class TestScheduler:
     # p=10, s=2, h=5: gamma 0.1 and 0.5 give n=1 and n=3 < 2h
     MIXED = dict(gamma_grid=(0.1, 0.5, 4.0, 10.0), reps=7, master_seed=11)
@@ -277,6 +281,26 @@ class TestScheduler:
     def test_picklable_custom_link_runs_on_the_pool(self):
         cfg = _cfg(model=ModelSpec.custom(_module_level_link), gamma_grid=(3.0, 6.0), reps=4)
         assert run_curve(cfg, workers=2).points == run_curve(cfg, workers=1).points
+
+    def test_pool_takes_at_most_the_usable_cpus(self, monkeypatch):
+        opened = []
+
+        class Recording(_inline_pool([])):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                opened.append(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = _cfg(**{**self.MIXED, "reps": 19})
+        # one replicate per block, so 38 blocks queue for 64 workers
+        assert run_curve(cfg, workers=64).points == run_curve(cfg, workers=1).points
+        assert opened == [2]
+
+    def test_non_finite_response_is_a_numerical_error(self):
+        cfg = _cfg(model=ModelSpec.custom(_nan_link), gamma_grid=(5.0,), reps=3)
+        with pytest.raises(NumericalError, match=r"link 'custom' gave \d+ non-finite responses of \d+"):
+            run_curve(cfg, workers=1)
 
 
 class TestStabilityDiagnostic:

@@ -429,15 +429,16 @@ class TestMatrixCsv:
 
 class TestManifest:
     def test_written_payload(self, tmp_path, capsys):
-        args = argparse.Namespace(command="curve", config=None, out=str(tmp_path), p=10, reps=3)
-        _write_outputs(args, 5, [])
+        args = argparse.Namespace(command="curve", config=None, seed=5, out=str(tmp_path), p=10,
+                                  reps=3)
+        _write_outputs(args, [])
         path = tmp_path / "manifest.json"
         payload = json.loads(path.read_text())
         assert payload["command"] == "curve"
         assert payload["config_path"] is None
         assert payload["seed"] == 5
         assert payload["version"] == __version__
-        assert payload["config"] == {"out": str(tmp_path), "p": 10, "reps": 3}
+        assert payload["config"] == {"seed": 5, "out": str(tmp_path), "p": 10, "reps": 3}
         assert set(payload) == {
             "command", "config_path", "output_dir", "seed", "version", "config",
         }
